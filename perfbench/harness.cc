@@ -324,11 +324,11 @@ std::string EnvJson(const Options& opt, const std::string& dataset) {
   return orpheus::StrFormat(
       "{\"env\": {\"cores\": %u, \"cpu\": \"%s\", \"compiler\": \"%s\", "
       "\"build_type\": \"%s\", \"git_sha\": \"%s\", \"exec_threads\": %d, "
-      "\"workload\": \"%s\", \"dataset\": \"%s\", \"seed\": %llu, "
+      "\"malloc_arenas\": %d, \"workload\": \"%s\", \"dataset\": \"%s\", \"seed\": %llu, "
       "\"seconds\": %g, \"trace\": %d}}",
       std::thread::hardware_concurrency(), orpheus::obs::JsonEscape(cpu).c_str(),
       orpheus::obs::JsonEscape("gcc " __VERSION__).c_str(), PERFBENCH_BUILD_TYPE,
-      orpheus::obs::JsonEscape(opt.git_sha).c_str(), orpheus::ExecThreads(),
+      orpheus::obs::JsonEscape(opt.git_sha).c_str(), orpheus::ExecThreads(), kMallocArenas,
       opt.workload.c_str(), orpheus::obs::JsonEscape(dataset).c_str(),
       static_cast<unsigned long long>(opt.seed), opt.seconds, opt.trace ? 1 : 0);
 }

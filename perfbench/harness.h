@@ -125,8 +125,14 @@ int64_t DirBytes(const std::string& dir);
 // Removes a directory tree (ignores a missing one).
 void RemoveTree(const std::string& dir);
 
+// malloc arenas the benchmark process allows (set in main.cc). With one
+// per thread, which arena each epoch's server and client threads drew
+// moved durable_sessions' peak RSS by a fifth between runs; with one
+// arena it repeated to a tenth of a MB.
+inline constexpr int kMallocArenas = 1;
+
 // The JSON environment stamp: cores, CPU model, compiler, build type,
-// git sha, exec threads, dataset spec and seed.
+// git sha, exec threads, malloc arenas, dataset spec and seed.
 std::string EnvJson(const Options& opt, const std::string& dataset);
 
 // Latency summary of `samples` (ms): <base>.p50 goes to `e2e`; the tail

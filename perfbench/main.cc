@@ -11,6 +11,8 @@
 // to <work-dir>/spans.jsonl). Exits 1 when any request failed or an
 // answer did not match the oracle.
 
+#include <malloc.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
@@ -26,7 +28,12 @@ namespace {
 using perfbench::Metric;
 using perfbench::Now;
 
-constexpr int kSetupsUntraced = 3;  // setup_s is the median of these
+// setup_s is the median of at least kMinSetups setups, repeated (up to
+// kMaxSetups) until they have taken kSetupSeconds: a setup of tens of
+// milliseconds needs more of them to give a steady median.
+constexpr size_t kMinSetups = 3;
+constexpr size_t kMaxSetups = 15;
+constexpr double kSetupSeconds = 1.0;
 constexpr int kExecThreads = 1;
 
 bool ParseArgs(int argc, char** argv, perfbench::Options* opt) {
@@ -91,6 +98,7 @@ int main(int argc, char** argv) {
   // medians drift by a third between back-to-back runs (and ran slower
   // than one thread). The setting is stamped into the env line.
   orpheus::SetExecThreads(kExecThreads);
+  mallopt(M_ARENA_MAX, perfbench::kMallocArenas);
   std::error_code ec;
   std::filesystem::create_directories(opt.work_dir, ec);
 
@@ -117,13 +125,18 @@ int main(int argc, char** argv) {
 
   std::vector<double> setup_s;
   if (!opt.trace) {
-    for (int i = 0; i < kSetupsUntraced; ++i) setup(&setup_s);
+    double spent = 0;
+    while (setup_s.size() < kMinSetups ||
+           (setup_s.size() < kMaxSetups && spent < kSetupSeconds)) {
+      setup(&setup_s);
+      spent += setup_s.back();
+    }
     std::cout << perfbench::EnvJson(opt, wl->dataset) << "\n";
     const double t0 = Now();
     wl->Measure(t0 + opt.seconds, std::numeric_limits<int64_t>::max(), &rec, nullptr);
-    const double wall = Now() - t0;
+    const double wall = Now() - t0 - wl->reload_s;
     // Throughput and memory of setup plus the measured phase, before
-    // Finish() runs its checks (and, in durable_sessions, recovery).
+    // Finish() runs its checks (and, in durable_sessions, the last recovery).
     const double completed = static_cast<double>(rec.attempted() - rec.failed());
     const double peak_rss_mb = perfbench::PeakRssMb();
     latencies(&rep.e2e);
@@ -139,7 +152,7 @@ int main(int argc, char** argv) {
     double t0 = Now();
     const int64_t rounds = wl->Measure(t0 + opt.seconds,
                                        std::numeric_limits<int64_t>::max(), &rec, nullptr);
-    const double untraced_wall = Now() - t0;
+    const double untraced_wall = Now() - t0 - wl->reload_s;
     std::vector<Metric> medians;  // reported by untraced runs
     latencies(&medians);
     // Traced pass over the same rounds on fresh state.
@@ -150,7 +163,7 @@ int main(int argc, char** argv) {
     t0 = Now();
     const int64_t traced_rounds =
         wl->Measure(t0 + 3 * opt.seconds + 30, rounds, &rec, &tracer);
-    const double traced_wall = Now() - t0;
+    const double traced_wall = Now() - t0 - wl->reload_s;
     const double cpu = perfbench::CpuSeconds() - cpu0;
     const std::map<std::string, double> after = perfbench::RegistrySnapshot();
     wl->Finish(/*traced=*/true, &rec, &tracer, &rep);

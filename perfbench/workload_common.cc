@@ -32,6 +32,18 @@ size_t Sweep::Pick(size_t n) {
   return std::min(n - 1, static_cast<size_t>(u_ * static_cast<double>(n)));
 }
 
+Deck::Deck(size_t n, orpheus::Rng* rng) : rng_(rng), cards_(n), next_(n) {
+  for (size_t i = 0; i < n; ++i) cards_[i] = i;
+}
+
+size_t Deck::Next() {
+  if (next_ == cards_.size()) {
+    for (size_t i = cards_.size(); i > 1; --i) std::swap(cards_[i - 1], cards_[rng_->Uniform(i)]);
+    next_ = 0;
+  }
+  return cards_[next_++];
+}
+
 namespace {
 
 int64_t LiveRecords(const orpheus::wl::Dataset& data) {

@@ -1,6 +1,6 @@
 // sci_edit_loop: one in-process session repeats checkout -> edit ->
 // commit -> query on an SCI version tree (split-by-rlist, PK k, 20 INT
-// attributes). Each round checks out a branch tip or a random ancestor,
+// attributes). Each round checks out a branch tip or an ancestor,
 // updates 0%, 1% or 10% of its rows, deletes and inserts a few, commits,
 // and aggregates over the new version. Commits that append records
 // invalidate the engine's lazily built rid index.
@@ -22,6 +22,10 @@ constexpr char kTable[] = "sci_work";
 constexpr int kDeletes = 5;
 constexpr int kInserts = 5;
 constexpr double kEditFractions[] = {0.0, 0.01, 0.10};
+constexpr size_t kFractions = 3;
+// Ancestors checked out: this many loaded versions, evenly spaced by
+// size.
+constexpr size_t kAncestors = 8;
 
 class SciEditLoop : public Workload {
  public:
@@ -31,9 +35,16 @@ class SciEditLoop : public Workload {
     api_ = std::make_unique<orpheus::core::EngineApi>();
     ORPHEUS_ASSIGN_OR_RETURN(
         orpheus::wl::Dataset data,
-        Load(Spec(orpheus::wl::WorkloadKind::kSci, 40, 4, 3000), kCvd, opt, api_.get(), &model_));
+        Load(Spec(orpheus::wl::WorkloadKind::kSci, 40, 4, 400), kCvd, opt, api_.get(), &model_));
     tips_ = Leaves(data);
-    by_size_ = model_.VersionIdsBySize();
+    std::vector<int64_t> inner;
+    for (int64_t v : model_.VersionIdsBySize()) {
+      if (std::find(tips_.begin(), tips_.end(), v) == tips_.end()) inner.push_back(v);
+    }
+    ancestors_.clear();
+    for (size_t i = 0; i < kAncestors; ++i) {
+      ancestors_.push_back(inner[(2 * i + 1) * inner.size() / (2 * kAncestors)]);
+    }
     next_vid_ = static_cast<int64_t>(data.versions().size()) + 1;
     storage_bytes = api_->orpheus()->db()->TotalByteSize();
     return Status::OK();
@@ -43,12 +54,16 @@ class SciEditLoop : public Workload {
                   Tracer* tracer) override {
     Session session(api_.get(), rec, tracer);
     orpheus::Rng rng(opt_.seed * 7919 + 11);
-    Picks picks{Sweep(&rng), Sweep(&rng), Sweep(&rng), Sweep(&rng)};
+    // Each block of cards checks out every tip and every chosen ancestor
+    // once with each edit fraction: the seed orders the rounds and places
+    // the edits, but every run makes the same mix of checkouts, commits
+    // and queries, which keeps the medians steady across seeds.
+    Deck cards((tips_.size() + ancestors_.size()) * kFractions, &rng);
     rows_resolved_ = 0;
     new_records_ = 0;
     int64_t rounds = 0;
     while (rounds < max_rounds && Now() < deadline) {
-      Round(&rng, &picks, &session, rec, tracer);
+      Round(&rng, cards.Next(), &session, rec, tracer);
       ++rounds;
     }
     return rounds;
@@ -77,16 +92,13 @@ class SciEditLoop : public Workload {
   }
 
  private:
-  struct Picks {
-    Sweep from_tip, tip, ancestor, fraction;
-  };
-
-  void Round(orpheus::Rng* rng, Picks* picks, Session* s, Recorder* rec, Tracer* tracer) {
-    const int64_t target =
-        picks->from_tip.Pick(2) == 0
-            ? tips_[picks->tip.Pick(tips_.size())]
-            : by_size_[picks->ancestor.Pick(by_size_.size())];
-    const double fraction = kEditFractions[picks->fraction.Pick(3)];
+  // A round's card picks the version checked out, a branch tip or an
+  // ancestor, and the edit fraction.
+  void Round(orpheus::Rng* rng, size_t card, Session* s, Recorder* rec, Tracer* tracer) {
+    const size_t slot = card / kFractions;
+    const bool from_tip = slot < tips_.size();
+    const int64_t target = from_tip ? tips_[slot] : ancestors_[slot - tips_.size()];
+    const double fraction = kEditFractions[card % kFractions];
     const Cids parent = model_.Version(target);
     const size_t n = parent.size();
     const size_t updates = static_cast<size_t>(fraction * static_cast<double>(n));
@@ -155,17 +167,9 @@ class SciEditLoop : public Workload {
     new_records_ += appended;
     ++next_vid_;
     model_.SetVersion(vid, child);
-    by_size_.insert(std::upper_bound(by_size_.begin(), by_size_.end(), child.size(),
-                                     [this](size_t rows, int64_t v) {
-                                       return rows < model_.Version(v).size();
-                                     }),
-                    vid);
-    auto tip = std::find(tips_.begin(), tips_.end(), target);
-    if (tip != tips_.end()) {
-      *tip = vid;
-    } else {
-      tips_.push_back(vid);
-    }
+    // A tip's child becomes the branch's tip; an ancestor's child is a
+    // side branch that later rounds leave alone.
+    if (from_tip) tips_[slot] = vid;
     if (tracer != nullptr) {
       const double t0 = Now();
       Result<orpheus::rel::Chunk> rows = cvd->model()->VersionRows(target);
@@ -195,8 +199,8 @@ class SciEditLoop : public Workload {
   Options opt_;
   std::unique_ptr<orpheus::core::EngineApi> api_;
   ContentModel model_;
-  std::vector<int64_t> tips_;
-  std::vector<int64_t> by_size_;  // every version, by row count
+  std::vector<int64_t> tips_;       // current tip of each branch
+  std::vector<int64_t> ancestors_;  // loaded inner versions, by size
   int64_t next_vid_ = 1;
   int64_t rows_resolved_ = 0;
   int64_t new_records_ = 0;

@@ -1,8 +1,9 @@
 // The three workloads and the pieces they share.
 //
-// Every workload follows the same outline, driven by RunWorkload in
+// Every workload follows the same outline, driven by main() in
 // main.cc: Setup() builds fresh engine state from the seed (repeated
-// so setup time is a median), Measure() runs the closed loop, and
+// so setup time is a median), Measure() runs the closed loop (in
+// epochs on reloaded state where the state would otherwise drift), and
 // Finish() reports what only that workload can measure. With tracing
 // on, a first untraced Measure() fixes the number of rounds and a
 // second, traced one on fresh state repeats exactly those rounds.
@@ -50,6 +51,9 @@ class Workload {
   // depend on its speed: after setup, or after `optimize` where the
   // workload runs it.
   int64_t storage_bytes = 0;
+  // Seconds of the last Measure() spent rebuilding state between epochs,
+  // outside any request; not part of the measured wall time.
+  double reload_s = 0;
 
  protected:
   // Generates `spec` into `model` and loads it into `api` as CVD `cvd`
@@ -90,6 +94,22 @@ class Sweep {
 
  private:
   double u_;
+};
+
+// A seeded shuffled cycle over 0..n-1: the picks come in blocks of n
+// that each hold every value once, in an order the seed decides. A
+// round that derives several choices from one card keeps their joint
+// mix fixed whatever the seed (Sweeps all step by 1/phi, so several of
+// them correlate in a way that depends on their seeded offsets).
+class Deck {
+ public:
+  Deck(size_t n, orpheus::Rng* rng);
+  size_t Next();
+
+ private:
+  orpheus::Rng* rng_;
+  std::vector<size_t> cards_;
+  size_t next_;
 };
 
 // One in-process engine session that times each request, records its
