@@ -1,8 +1,12 @@
 #include "core/record.h"
 
+#include <atomic>
+
 namespace orpheus::core {
 
 namespace {
+
+std::atomic<uint64_t> g_hash_mask{~uint64_t{0}};
 
 inline void HashBytes(const void* data, size_t len, uint64_t* h) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
@@ -54,7 +58,11 @@ uint64_t HashRecord(const rel::Chunk& chunk, size_t row,
         break;
     }
   }
-  return h;
+  return h & g_hash_mask.load(std::memory_order_relaxed);
+}
+
+void SetRecordHashMaskForTesting(uint64_t mask) {
+  g_hash_mask.store(mask, std::memory_order_relaxed);
 }
 
 bool RecordsEqual(const rel::Chunk& a, size_t row_a, const std::vector<int>& cols_a,

@@ -20,6 +20,11 @@ using RecordId = int64_t;
 uint64_t HashRecord(const rel::Chunk& chunk, size_t row,
                     const std::vector<int>& cols);
 
+// Test seam: HashRecord returns its hash ANDed with `mask` (all ones by
+// default). A mask of 0 makes every record collide, so tests can show
+// that record identity never rests on the hash alone.
+void SetRecordHashMaskForTesting(uint64_t mask);
+
 // True if the two rows agree on all listed columns (paired by index:
 // cols_a[i] compares against cols_b[i]).
 bool RecordsEqual(const rel::Chunk& a, size_t row_a, const std::vector<int>& cols_a,

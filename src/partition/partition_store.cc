@@ -46,12 +46,12 @@ Status PartitionStore::InsertRecords(Phys* phys,
       rids.size(), rel::kScanBatchRows,
       [&](size_t begin, size_t end, size_t) -> Status {
         for (size_t i = begin; i < end; ++i) {
-          const std::vector<uint32_t>* hits = source->LookupInt("rid", rids[i]);
-          if (hits == nullptr || hits->empty()) {
+          rel::IntPostings::Rows hits = source->LookupInt("rid", rids[i]);
+          if (hits.empty()) {
             return Status::NotFound("record not in source data table: " +
                                     std::to_string(rids[i]));
           }
-          rows[i] = (*hits)[0];
+          rows[i] = hits[0];
         }
         return Status::OK();
       }));

@@ -1,8 +1,23 @@
 #include "relstore/column.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace orpheus::rel {
+
+namespace {
+
+// Makes room for `extra` more elements, at least doubling the capacity
+// when it must grow. An exact-size reserve would defeat geometric
+// growth: every small bulk append would reallocate and copy the whole
+// column.
+template <typename T>
+void ReserveAppend(std::vector<T>* v, size_t extra) {
+  const size_t need = v->size() + extra;
+  if (need > v->capacity()) v->reserve(std::max(need, 2 * v->capacity()));
+}
+
+}  // namespace
 
 Value Column::Get(size_t row) const {
   assert(row < size_);
@@ -95,19 +110,19 @@ void Column::Gather(const Column& src, const std::vector<uint32_t>& rows) {
   switch (type_) {
     case DataType::kInt64:
     case DataType::kBool:
-      ints_.reserve(ints_.size() + rows.size());
+      ReserveAppend(&ints_, rows.size());
       for (uint32_t r : rows) ints_.push_back(src.ints_[r]);
       break;
     case DataType::kDouble:
-      doubles_.reserve(doubles_.size() + rows.size());
+      ReserveAppend(&doubles_, rows.size());
       for (uint32_t r : rows) doubles_.push_back(src.doubles_[r]);
       break;
     case DataType::kString:
-      strings_.reserve(strings_.size() + rows.size());
+      ReserveAppend(&strings_, rows.size());
       for (uint32_t r : rows) strings_.push_back(src.strings_[r]);
       break;
     case DataType::kIntArray:
-      arrays_.reserve(arrays_.size() + rows.size());
+      ReserveAppend(&arrays_, rows.size());
       for (uint32_t r : rows) arrays_.push_back(src.arrays_[r]);
       break;
     case DataType::kNull:

@@ -12,6 +12,7 @@
 #include "obs/profile.h"
 #include "relstore/database.h"
 #include "relstore/eval.h"
+#include "relstore/int_postings.h"
 
 namespace orpheus::rel {
 
@@ -447,35 +448,24 @@ Result<Executor::Input> Executor::JoinPair(
         // "hash table on rids, sequential scan on the data table").
         // NULL keys never participate in equi-joins.
         //
-        // Both phases are batch-parallel: the build accumulates
-        // per-batch partial tables merged in batch order (postings
-        // stay in ascending row order — the serial build), and the
-        // probe emits per-batch match lists concatenated in batch
-        // order (the serial probe's output order). See executor.h for
-        // the determinism contract.
-        op_scope.SetDetail("hash");
+        // The build is one serial pass into a flat CSR table
+        // (IntPostings: postings in ascending row order, plus a key
+        // range filter when the build keys are dense). The probe is
+        // batch-parallel, emitting per-batch match lists concatenated
+        // in batch order (the serial probe's output order). See
+        // executor.h for the determinism contract.
         bool build_right = rc.num_rows() <= lc.num_rows();
         const Column& bcol = build_right ? rc.column(rcols[0]) : lc.column(lcols[0]);
         const Column& pcol = build_right ? lc.column(lcols[0]) : rc.column(rcols[0]);
-        const std::vector<int64_t>& bkeys = bcol.ints();
         const std::vector<int64_t>& pkeys = pcol.ints();
-        using IntMap = std::unordered_map<int64_t, std::vector<uint32_t>>;
-        IntMap hash;
-        hash.reserve(bkeys.size() * 2);
+        IntPostings hash;
         {
           obs::ProfileOpScope build_scope("hash_build");
-          build_scope.AddRowsIn(bkeys.size());
-          build_scope.AddBatches(NumScanBatches(bkeys.size()));
-          ORPHEUS_RETURN_NOT_OK(BatchedHashBuild(
-              bkeys.size(), serial_exec, &hash,
-              [&](size_t begin, size_t end, IntMap* out) {
-                for (size_t i = begin; i < end; ++i) {
-                  if (bcol.IsNull(i)) continue;
-                  (*out)[bkeys[i]].push_back(static_cast<uint32_t>(i));
-                }
-              }));
-          build_scope.AddRowsOut(hash.size());
+          build_scope.AddRowsIn(bcol.size());
+          hash = IntPostings(bcol);
+          build_scope.AddRowsOut(hash.num_keys());
         }
+        op_scope.SetDetail(hash.has_range_filter() ? "hash+range-filter" : "hash");
         {
           obs::ProfileOpScope probe_scope("hash_probe");
           probe_scope.AddRowsIn(pkeys.size());
@@ -485,9 +475,7 @@ Result<Executor::Input> Executor::JoinPair(
               [&](size_t begin, size_t end, MatchList* out) {
                 for (size_t i = begin; i < end; ++i) {
                   if (pcol.IsNull(i)) continue;
-                  auto hit = hash.find(pkeys[i]);
-                  if (hit == hash.end()) continue;
-                  for (uint32_t m : hit->second) {
+                  for (uint32_t m : hash.Find(pkeys[i])) {
                     if (build_right) {
                       out->l.push_back(static_cast<uint32_t>(i));
                       out->r.push_back(m);
@@ -655,7 +643,7 @@ Result<Executor::Input> Executor::JoinPair(
           (probe_right ? right.schema.column(rcols[0]) : left.schema.column(lcols[0]))
               .name);
       ORPHEUS_RETURN_NOT_OK(inner_table->EnsureIndex(inner_col));
-      const Table::IntIndexMap* index = inner_table->BuiltIndex(inner_col);
+      const IntPostings* index = inner_table->BuiltIndex(inner_col);
       if (index == nullptr) {
         return Status::Internal("index lookup failed during INL join");
       }
@@ -672,9 +660,7 @@ Result<Executor::Input> Executor::JoinPair(
         for (size_t o = begin; o < end; ++o) {
           if (ocol.IsNull(o)) continue;
           ++*probes;
-          auto hit = index->find(okeys[o]);
-          if (hit == index->end()) continue;
-          for (uint32_t m : hit->second) {
+          for (uint32_t m : index->Find(okeys[o])) {
             if (count_pages) {
               (*pages)[static_cast<size_t>(static_cast<int64_t>(m) /
                                            rows_per_page)] = 1;

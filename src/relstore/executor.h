@@ -7,18 +7,22 @@
 //   -> ORDER BY -> LIMIT.
 //
 // Parallel batched execution. Filter evaluation, computed projections,
-// aggregation, hash-join build and probe, the index-nested-loop probe
-// loop, merge-join key sorts, and ORDER BY all operate on fixed-size
-// row batches (kScanBatchRows) scheduled across the shared execution
-// pool (common/thread_pool.h, the --threads knob). Batch boundaries
-// depend only on the data, never on the thread count, and per-batch
-// partial results (selection vectors, aggregate states, hash-table
-// partials, join match lists) are merged on the calling thread in
-// batch order; sorts use the deterministic parallel merge sort
+// aggregation, the hash-join probe (and the multi-key hash-join
+// build), the index-nested-loop probe loop, merge-join key sorts, and
+// ORDER BY all operate on fixed-size row batches (kScanBatchRows)
+// scheduled across the shared execution pool (common/thread_pool.h,
+// the --threads knob). Batch boundaries depend only on the data, never
+// on the thread count, and per-batch partial results (selection
+// vectors, aggregate states, multi-key hash-table partials, join match
+// lists) are merged on the calling thread in batch order; sorts use the deterministic parallel merge sort
 // (ParallelStableSort), whose run/merge tree is likewise fixed by the
 // input size alone. So results are bit-identical for every --threads
 // setting, including the floating-point aggregates. With --threads=1
-// batches run serially in order on the caller.
+// batches run serially in order on the caller. The single-INT-key
+// hash build is one serial pass on the caller into a flat CSR table
+// (IntPostings, int_postings.h) whose ascending postings and optional
+// key-range filter depend on the key column alone, so it has one path
+// at every thread count.
 // Note the invariant is thread-count independence, not equality with
 // the pre-batching code: inputs up to one batch (most unit tests) are
 // processed exactly as before, but a float SUM/AVG over several
@@ -37,7 +41,9 @@
 //    batch-private buffers; all merging happens on the calling thread.
 //  - Table indexes probed by INL workers are forced up front on the
 //    calling thread (Table::EnsureIndex), after which workers read the
-//    immutable postings map via Table::BuiltIndex.
+//    immutable IntPostings table via Table::BuiltIndex. The hash
+//    join's IntPostings is likewise built before its probe batches
+//    start and only read by them.
 //
 // The executor also charges a simple page-I/O model per operator (see
 // table.h) so experiments can report modeled I/O next to wall time.
@@ -171,9 +177,10 @@ class Executor {
 
   // Joins two inputs on the given equi-key pairs with the configured
   // JoinMethod (falling back to hash when the method's preconditions
-  // don't hold — see docs/QUERY_ENGINE.md). Build, probe, key sorts,
-  // and the output materialization run batch-parallel on the pool;
-  // per-batch match lists are concatenated in batch order so the
+  // don't hold — see docs/QUERY_ENGINE.md). Probes, key sorts, the
+  // multi-key build and the output materialization run batch-parallel
+  // on the pool; the single-INT-key build is one serial IntPostings
+  // pass. Per-batch match lists are concatenated in batch order so the
   // output row order matches the serial algorithms exactly.
   Result<Input> JoinPair(Input left, Input right,
                          const std::vector<std::pair<const Expr*, const Expr*>>& keys);

@@ -72,40 +72,28 @@ std::vector<std::string> Table::DeclaredIndexColumns() const {
 Status Table::BuildIndex(const std::string& column, IntIndex* index) {
   int col = schema().FindColumn(column);
   if (col < 0) return Status::NotFound("no column " + column + " in " + name_);
-  index->map.clear();
-  const Column& column_data = chunk_.column(col);
-  const std::vector<int64_t>& keys = column_data.ints();
-  index->map.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (column_data.IsNull(i)) continue;  // NULLs are not indexed
-    index->map[keys[i]].push_back(static_cast<uint32_t>(i));
-  }
+  index->postings = IntPostings(chunk_.column(col));  // NULLs are not indexed
   index->built = true;
   return Status::OK();
 }
 
-const std::vector<uint32_t>* Table::LookupInt(const std::string& column, int64_t key) {
+IntPostings::Rows Table::LookupInt(const std::string& column, int64_t key) {
   auto it = indexes_.find(column);
-  if (it == indexes_.end()) return nullptr;
+  if (it == indexes_.end()) return {};
   {
     std::lock_guard<std::mutex> lock(index_mu_);
     if (!it->second.built) {
-      if (!BuildIndex(column, &it->second).ok()) return nullptr;
+      if (!BuildIndex(column, &it->second).ok()) return {};
     }
   }
-  auto hit = it->second.map.find(key);
-  if (hit == it->second.map.end()) {
-    static const std::vector<uint32_t> kEmpty;
-    return &kEmpty;
-  }
-  return &hit->second;
+  return it->second.postings.Find(key);
 }
 
-const Table::IntIndexMap* Table::BuiltIndex(const std::string& column) const {
+const IntPostings* Table::BuiltIndex(const std::string& column) const {
   auto it = indexes_.find(column);
   if (it == indexes_.end()) return nullptr;
   std::lock_guard<std::mutex> lock(index_mu_);
-  return it->second.built ? &it->second.map : nullptr;
+  return it->second.built ? &it->second.postings : nullptr;
 }
 
 Status Table::EnsureIndex(const std::string& column) {
@@ -125,7 +113,7 @@ void Table::InvalidateIndexes() {
   std::lock_guard<std::mutex> lock(index_mu_);
   for (auto& [name, index] : indexes_) {
     index.built = false;
-    index.map.clear();
+    index.postings = IntPostings();
   }
 }
 

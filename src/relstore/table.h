@@ -36,6 +36,7 @@
 
 #include "common/status.h"
 #include "relstore/chunk.h"
+#include "relstore/int_postings.h"
 
 namespace orpheus::rel {
 
@@ -75,32 +76,34 @@ class Table {
   // deterministic so snapshots of equal states are byte-equal).
   std::vector<std::string> DeclaredIndexColumns() const;
 
-  // Row positions whose `column` equals `key`; empty if none.
-  // Builds the index on first use after a modification.
+  // Row positions (ascending) whose `column` equals `key`; empty if
+  // none, or if no index is declared on `column`. Builds the index on
+  // first use after a modification. The result stays valid until the
+  // next DML.
   //
   // Concurrency: LookupInt may rebuild a stale index, so it is not
   // safe to call from scan workers directly. Call EnsureIndex first
   // (on the coordinating thread); after it succeeds, LookupInt is a
   // pure read and may be called concurrently until the next DML.
   // Batched probe loops should prefer BuiltIndex, which resolves the
-  // column name once and hands workers a plain const map.
-  const std::vector<uint32_t>* LookupInt(const std::string& column, int64_t key);
+  // column name once and hands workers the IntPostings directly.
+  IntPostings::Rows LookupInt(const std::string& column, int64_t key);
 
   // Forces the (declared) index on `column` to be built now, so that
   // subsequent LookupInt/BuiltIndex calls are read-only. Errors if no
   // index was declared on `column`.
   Status EnsureIndex(const std::string& column);
 
-  // Postings of a built index: key -> row positions in insertion
-  // (ascending) order. Returns nullptr unless a preceding
+  // A built index: a flat CSR hash table from key to row positions in
+  // ascending order, with the key-range filter when the column's keys
+  // are dense (int_postings.h). Returns nullptr unless a preceding
   // EnsureIndex(column) succeeded and no DML has run since.
   //
-  // Concurrency: the returned map is immutable until the next DML /
+  // Concurrency: the returned table is immutable until the next DML /
   // InvalidateIndexes, so workers may probe it freely while the
   // coordinating thread holds the table alive (the executor's INL
   // probe batches do exactly this).
-  using IntIndexMap = std::unordered_map<int64_t, std::vector<uint32_t>>;
-  const IntIndexMap* BuiltIndex(const std::string& column) const;
+  const IntPostings* BuiltIndex(const std::string& column) const;
 
   void InvalidateIndexes();
 
@@ -146,7 +149,7 @@ class Table {
  private:
   struct IntIndex {
     bool built = false;
-    IntIndexMap map;
+    IntPostings postings;
   };
 
   // Caller must hold index_mu_.

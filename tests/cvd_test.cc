@@ -334,5 +334,112 @@ TEST_F(SchemaEvolutionTest, MetadataTablesPopulated) {
   EXPECT_EQ(attrs.value().Get(0, 0).AsInt(), 5);
 }
 
+// --- Exact record identity under forced hash collisions -----------------
+//
+// With the record-hash mask at 0 every HashRecord value collides, so
+// each primary-key check and the merge-checkout dedupe must decide on
+// the key values themselves. A hash-only check would reject distinct
+// keys as duplicates or drop records from a merge.
+
+class HashCollisionTest : public ::testing::Test {
+ protected:
+  void SetUp() override { SetRecordHashMaskForTesting(0); }
+  void TearDown() override { SetRecordHashMaskForTesting(~uint64_t{0}); }
+
+  // A CVD over ProteinSchema keyed by `primary_key`, with v1 = the
+  // three rows of InitialRows().
+  void Init(std::vector<std::string> primary_key) {
+    CvdOptions options;
+    options.model = DataModelKind::kSplitByRlist;
+    options.primary_key = std::move(primary_key);
+    auto cvd = Cvd::Create(&db_, "c", ProteinSchema(), options);
+    ASSERT_TRUE(cvd.ok()) << cvd.status().ToString();
+    cvd_ = std::move(cvd).value();
+    auto v1 = cvd_->InitVersion(InitialRows(), "init");
+    ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+  }
+
+  int64_t Count(const std::string& sql) {
+    auto r = db_.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    return r.ok() ? r.value().Get(0, 0).AsInt() : -1;
+  }
+
+  rel::Database db_;
+  std::unique_ptr<Cvd> cvd_;
+};
+
+TEST_F(HashCollisionTest, DistinctCompositeKeysAreNotDuplicates) {
+  Init({"protein1", "protein2"});  // v1's three keys all collide
+  ASSERT_TRUE(cvd_->Checkout({1}, "w").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO w VALUES (0, 'ENSP300413', "
+                          "'ENSP261890', 1, 2, 3)").ok());
+  auto v2 = cvd_->Commit("w", "new key");
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  EXPECT_EQ(cvd_->total_records(), 4);
+
+  // A genuine duplicate is still caught.
+  ASSERT_TRUE(cvd_->Checkout({v2.value()}, "dup").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO dup VALUES (0, 'ENSP300413', "
+                          "'ENSP261890', 9, 9, 9)").ok());
+  EXPECT_EQ(cvd_->Commit("dup", "dup pk").status().code(),
+            StatusCode::kConstraintViolation);
+}
+
+TEST_F(HashCollisionTest, SingleIntKeyCheckedOnValues) {
+  Init({"cooccurrence"});  // v1 keys 53, 87, 0
+  ASSERT_TRUE(cvd_->Checkout({1}, "w").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO w VALUES (0, 'x', 'y', 1, 54, 1)").ok());
+  ASSERT_TRUE(cvd_->Commit("w", "new key").ok());
+
+  ASSERT_TRUE(cvd_->Checkout({1}, "dup").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO dup VALUES (0, 'x', 'y', 1, 87, 1)").ok());
+  EXPECT_EQ(cvd_->Commit("dup", "dup pk").status().code(),
+            StatusCode::kConstraintViolation);
+
+  // NULL keys compare equal to each other, as before: one is allowed,
+  // a second one is a duplicate.
+  ASSERT_TRUE(cvd_->Checkout({1}, "n").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO n VALUES (0, 'x', 'y', 1, NULL, 1)").ok());
+  ASSERT_TRUE(cvd_->Commit("n", "one null key").ok());
+  ASSERT_TRUE(cvd_->Checkout({1}, "nn").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO nn VALUES (0, 'x', 'y', 1, NULL, 1), "
+                          "(0, 'z', 'y', 1, NULL, 1)").ok());
+  EXPECT_EQ(cvd_->Commit("nn", "two null keys").status().code(),
+            StatusCode::kConstraintViolation);
+
+  // A duplicate in the initial version is rejected too.
+  CvdOptions options;
+  options.primary_key = {"neighborhood"};  // v1 keys 0, 0, 426
+  auto bad = Cvd::Create(&db_, "bad", ProteinSchema(), options);
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  EXPECT_EQ(bad.value()->InitVersion(InitialRows(), "init").status().code(),
+            StatusCode::kConstraintViolation);
+}
+
+TEST_F(HashCollisionTest, MergeCheckoutKeepsDistinctKeys) {
+  Init({"protein1", "protein2"});
+  // Two branches, each adding a record with its own new key.
+  ASSERT_TRUE(cvd_->Checkout({1}, "wa").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO wa VALUES (0, 'A', 'B', 1, 1, 1)").ok());
+  auto v2 = cvd_->Commit("wa", "branch a");
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  ASSERT_TRUE(cvd_->Checkout({1}, "wb").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO wb VALUES (0, 'C', 'D', 2, 2, 2)").ok());
+  ASSERT_TRUE(db_.Execute("UPDATE wb SET coexpression = 5 "
+                          "WHERE protein2 = 'ENSP261890'").ok());
+  auto v3 = cvd_->Commit("wb", "branch b");
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+
+  ASSERT_TRUE(cvd_->Checkout({v2.value(), v3.value()}, "merged").ok());
+  // v1's three keys once each, plus A/B and C/D.
+  EXPECT_EQ(Count("SELECT count(*) FROM merged"), 5);
+  EXPECT_EQ(Count("SELECT count(*) FROM merged WHERE protein1 = 'C'"), 1);
+  // The shared key resolves by precedence: v2 (listed first) wins.
+  EXPECT_EQ(Count("SELECT coexpression FROM merged "
+                  "WHERE protein2 = 'ENSP261890'"),
+            0);
+}
+
 }  // namespace
 }  // namespace orpheus::core

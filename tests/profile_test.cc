@@ -141,6 +141,47 @@ TEST(ProfileTest, ExplainAnalyzeGoldenPlan) {
   EXPECT_NE(std::string::npos, json.find("\"rows\":1")) << json;
 }
 
+// The single-INT-key hash join names its kernel: the key-range filter
+// shows in the join's detail when the build keys are dense, and
+// hash_build's rows_out counts distinct build keys, not build rows.
+TEST(ProfileTest, ExplainAnalyzeShowsHashJoinKernel) {
+  EngineApi api;
+  auto session = api.NewSession();
+  CvdOptions options;
+  options.primary_key = {"k"};
+  ASSERT_TRUE(api.orpheus()->InitCvd("hj", MakeRows(8), options, "init").ok());
+  MustExecute(&api, session.get(), "checkout hj -v 1 -t hj1");
+  // Four build rows, three distinct keys, one far from the others.
+  MustExecute(&api, session.get(), "sql CREATE TABLE sparse (k INT)");
+  MustExecute(&api, session.get(),
+              "sql INSERT INTO sparse VALUES (1), (1), (2), (1000000)");
+  MustExecute(&api, session.get(), "sql CREATE TABLE dense (k INT)");
+  MustExecute(&api, session.get(),
+              "sql INSERT INTO dense VALUES (3), (1), (3), (2)");
+
+  // The build side is the smaller one (right on ties): `dense`.
+  std::string text = MustExecute(
+      &api, session.get(),
+      "explain analyze SELECT count(*) FROM hj1 a, dense b WHERE a.k = b.k");
+  EXPECT_NE(std::string::npos, text.find("join [hash+range-filter]")) << text;
+  EXPECT_NE(std::string::npos, text.find("hash_build  rows_in=4 rows_out=3"))
+      << text;
+
+  // A key range too wide for the bitmap: plain hash.
+  text = MustExecute(
+      &api, session.get(),
+      "explain analyze SELECT count(*) FROM hj1 a, sparse b WHERE a.k = b.k");
+  EXPECT_NE(std::string::npos, text.find("join [hash]")) << text;
+  EXPECT_NE(std::string::npos, text.find("hash_build  rows_in=4 rows_out=3"))
+      << text;
+
+  // The version query's Table 1 join: rids of one version are dense.
+  text = MustExecute(&api, session.get(),
+                     "explain analyze SELECT v FROM VERSION 1 OF CVD hj");
+  EXPECT_NE(std::string::npos, text.find("join [hash+range-filter]")) << text;
+  EXPECT_NE(std::string::npos, text.find("8 row(s)")) << text;
+}
+
 TEST(ProfileTest, ExplainAnalyzeArgumentErrors) {
   EngineApi api;
   auto session = api.NewSession();

@@ -113,6 +113,30 @@ TEST(ColumnTest, GatherPreservesNulls) {
   EXPECT_TRUE(dst.Get(1).is_null());
 }
 
+// Each commit appends its new records to the data table with one
+// Gather; an exact-size reserve there would reallocate and copy the
+// whole column on every append. Growth must stay geometric.
+TEST(ColumnTest, RepeatedGatherGrowsCapacityGeometrically) {
+  Column src(DataType::kInt64);
+  src.AppendInt(42);
+  Column dst(DataType::kInt64);
+  const size_t kAppends = 1000;
+  int capacity_changes = 0;
+  size_t capacity = dst.ints().capacity();
+  for (size_t i = 0; i < kAppends; ++i) {
+    dst.Gather(src, {0});
+    if (dst.ints().capacity() != capacity) {
+      ++capacity_changes;
+      capacity = dst.ints().capacity();
+    }
+  }
+  ASSERT_EQ(dst.size(), kAppends);
+  EXPECT_EQ(dst.ints().back(), 42);
+  // Doubling from one element reaches 1000 in 11 steps; allow slack
+  // for any growth factor of at least 2, never one step per append.
+  EXPECT_LE(capacity_changes, 2 * 11) << "capacity changed on most appends";
+}
+
 TEST(ColumnTest, FilterKeepsOrder) {
   Column col(DataType::kInt64);
   for (int i = 0; i < 6; ++i) col.AppendInt(i);
