@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "common/str_util.h"
-#include "relstore/int_postings.h"
 
 namespace orpheus::core {
 
@@ -47,57 +46,43 @@ std::string IntArrayLiteral(const std::vector<int64_t>& values) {
   return "ARRAY[" + Join(parts, ", ") + "]";
 }
 
-// A set of rows keyed by their values on `cols`. HashRecord only picks
-// candidates; RecordsEqual confirms each one, so a 64-bit hash
-// collision can never make two distinct keys look equal. NULLs compare
-// equal, as in HashRecord and RecordsEqual.
-class RowKeySet {
- public:
-  explicit RowKeySet(std::vector<int> cols) : cols_(std::move(cols)) {}
-
-  // Adds row `row` of `chunk` unless a row with an equal key is already
-  // present; returns whether it was added. `chunk` must outlive the set.
-  bool Insert(const rel::Chunk& chunk, size_t row) {
-    auto [head, added] = heads_.try_emplace(HashRecord(chunk, row, cols_), refs_.size());
-    if (!added) {
-      for (size_t i = head->second; i != kNone; i = refs_[i].next) {
-        if (RecordsEqual(chunk, row, cols_, *refs_[i].chunk, refs_[i].row, cols_)) {
-          return false;
-        }
-      }
-    }
-    refs_.push_back({&chunk, row, added ? kNone : head->second});
-    head->second = refs_.size() - 1;
-    return true;
-  }
-
- private:
-  static constexpr size_t kNone = ~size_t{0};
-  struct Ref {
-    const rel::Chunk* chunk;
-    size_t row;
-    size_t next;  // previous row with the same hash, or kNone
-  };
-  std::vector<int> cols_;
-  std::unordered_map<uint64_t, size_t> heads_;  // hash -> newest ref
-  std::vector<Ref> refs_;
+// A reference to one row of a chunk that outlives the reference.
+struct RowRef {
+  const rel::Chunk* chunk;
+  size_t row;
 };
 
-// True if two rows of `chunk` agree on every column in `cols`. A single
-// INT key is checked exactly on its values (distinct keys vs indexed
-// rows, plus at most one NULL); other keys go through RowKeySet.
+// Hash and equality of rows on their values in `cols`. HashRecord only
+// picks candidates; RecordsEqual confirms each one, so a 64-bit hash
+// collision can never make two distinct keys look equal. NULLs compare
+// equal, as in HashRecord and RecordsEqual. `cols` must outlive the set.
+struct RowHash {
+  const std::vector<int>* cols;
+  size_t operator()(const RowRef& r) const {
+    return static_cast<size_t>(HashRecord(*r.chunk, r.row, *cols));
+  }
+};
+struct RowEq {
+  const std::vector<int>* cols;
+  bool operator()(const RowRef& a, const RowRef& b) const {
+    return RecordsEqual(*a.chunk, a.row, *cols, *b.chunk, b.row, *cols);
+  }
+};
+using RowKeySet = std::unordered_set<RowRef, RowHash, RowEq>;
+
+RowKeySet MakeRowKeySet(const std::vector<int>* cols) {
+  return RowKeySet(0, RowHash{cols}, RowEq{cols});
+}
+
+// True if two rows of `chunk` agree on every column in `cols`.
 bool HasDuplicateKey(const rel::Chunk& chunk, const std::vector<int>& cols) {
   // Sized by the key columns: Commit checks its aligned rows before
   // their rid column is filled.
   const size_t rows = chunk.column(cols[0]).size();
-  if (cols.size() == 1 && chunk.column(cols[0]).type() == rel::DataType::kInt64) {
-    rel::IntPostings postings(chunk.column(cols[0]));
-    return postings.num_keys() != postings.num_rows() ||
-           rows - postings.num_rows() > 1;
-  }
-  RowKeySet seen(cols);
+  RowKeySet seen = MakeRowKeySet(&cols);
+  seen.reserve(rows);
   for (size_t r = 0; r < rows; ++r) {
-    if (!seen.Insert(chunk, r)) return true;
+    if (!seen.insert({&chunk, r}).second) return true;
   }
   return false;
 }
@@ -295,31 +280,33 @@ Status Cvd::Checkout(const std::vector<VersionId>& vids,
   } else {
     // Merging checkout: precedence order with primary-key conflict
     // resolution (§2.2). Without a primary key, rid identity dedupes.
-    // Every version's rows stay alive until the merge ends: the key set
-    // refers to them. The reserve keeps the chunks from moving.
+    // With one, every version's rows stay alive until the merge ends:
+    // the key set refers to them. The reserve keeps the chunks from
+    // moving.
     std::vector<rel::Chunk> version_rows;
-    version_rows.reserve(vids.size());
+    if (!primary_key_.empty()) version_rows.reserve(vids.size());
     rel::Chunk merged;
     bool first = true;
     std::vector<int> pk_cols;
-    RowKeySet seen_keys({});
+    RowKeySet seen_keys = MakeRowKeySet(&pk_cols);
     std::unordered_set<RecordId> seen_rids;
     for (VersionId vid : vids) {
       ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk fetched, model_->VersionRows(vid));
-      const rel::Chunk& rows = version_rows.emplace_back(std::move(fetched));
+      const rel::Chunk& rows = primary_key_.empty()
+                                   ? fetched
+                                   : version_rows.emplace_back(std::move(fetched));
       if (first) {
         merged = rel::Chunk(rows.schema());
         for (const std::string& pk : primary_key_) {
           pk_cols.push_back(rows.schema().FindColumn(pk));
         }
-        seen_keys = RowKeySet(pk_cols);
         first = false;
       }
       int rid_col = rows.schema().FindColumn("rid");
       std::vector<uint32_t> keep;
       for (size_t r = 0; r < rows.num_rows(); ++r) {
         if (!primary_key_.empty()) {
-          if (!seen_keys.Insert(rows, r)) continue;
+          if (!seen_keys.insert({&rows, r}).second) continue;
         } else {
           if (!seen_rids.insert(rows.column(rid_col).ints()[r]).second) continue;
         }

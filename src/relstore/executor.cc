@@ -491,9 +491,11 @@ Result<Executor::Input> Executor::JoinPair(
         }
       } else {
         // Generic multi-key hash join via encoded keys; rows with any
-        // NULL key are skipped (SQL equi-join semantics). Same
-        // batch-parallel build/probe discipline as the int fast path,
-        // with string-encoded composite keys.
+        // NULL key are skipped (SQL equi-join semantics). The build is
+        // batch-parallel: per-batch maps of string-encoded composite
+        // keys merged in batch order (BatchedHashBuild), so postings
+        // stay in ascending row order. The probe is batched like the
+        // int path's.
         auto any_null = [](const Chunk& chunk, const std::vector<int>& cols,
                            size_t row) {
           for (int col : cols) {

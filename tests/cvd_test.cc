@@ -441,5 +441,27 @@ TEST_F(HashCollisionTest, MergeCheckoutKeepsDistinctKeys) {
             0);
 }
 
+TEST_F(HashCollisionTest, MergeWithoutPrimaryKeyDedupesByRid) {
+  Init({});
+  ASSERT_TRUE(cvd_->Checkout({1}, "wa").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO wa VALUES (0, 'A', 'B', 1, 1, 1)").ok());
+  auto v2 = cvd_->Commit("wa", "branch a");
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  ASSERT_TRUE(cvd_->Checkout({1}, "wb").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO wb VALUES (0, 'C', 'D', 2, 2, 2)").ok());
+  ASSERT_TRUE(db_.Execute("UPDATE wb SET coexpression = 5 "
+                          "WHERE protein2 = 'ENSP261890'").ok());
+  auto v3 = cvd_->Commit("wb", "branch b");
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+
+  ASSERT_TRUE(cvd_->Checkout({v2.value(), v3.value()}, "merged").ok());
+  // v1's three records once each, A/B, C/D, and the updated record as
+  // a record of its own: with no key, only shared rids are merged.
+  EXPECT_EQ(Count("SELECT count(*) FROM merged"), 6);
+  EXPECT_EQ(Count("SELECT count(*) FROM merged "
+                  "WHERE protein2 = 'ENSP261890'"),
+            2);
+}
+
 }  // namespace
 }  // namespace orpheus::core
