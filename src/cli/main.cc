@@ -17,18 +17,13 @@
 //
 // --db opens (creating if needed) a durable database directory:
 // version-control commands are logged to its commit WAL, and a later
-// invocation with the same --db recovers the full state (snapshot +
+// invocation with the same --db recovers the full state (checkpoint +
 // WAL replay — see docs/PERSISTENCE.md). Without --db the backing
 // database is in-memory and dies with the process; the `open` shell
 // command is the runtime equivalent. --wal-checkpoint-bytes=<n> (and
 // --wal-checkpoint-records=<n>) arm the automatic checkpoint policy:
 // once the WAL grows past either bound, the next logged verb folds it
-// into a fresh snapshot.
-//
-// --group-commit={on,off} (default on) controls WAL group commit:
-// concurrent mutating statements batch their log records into one
-// write + one fdatasync, led by the first waiter (docs/PERSISTENCE.md
-// §Group commit). "off" restores a private fdatasync per statement.
+// into a checkpoint.
 //
 // --serve=<port> (0 = ephemeral; the bound port is printed) turns the
 // process into a loopback TCP server speaking the framed protocol of
@@ -52,11 +47,12 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 
-#include "cli/command_processor.h"
 #include "common/flags.h"
 #include "common/thread_pool.h"
+#include "core/engine_api.h"
 #include "obs/metrics.h"
 #include "obs/procstats.h"
 #include "obs/trace.h"
@@ -71,21 +67,23 @@ volatile std::sig_atomic_t g_shutdown = 0;
 
 void HandleSignal(int) { g_shutdown = 1; }
 
-// Parses --group-commit={on,off,true,false,1,0}; anything else is a
-// usage error reported by the caller via the false return.
-bool ParseGroupCommit(const orpheus::Flags& flags, bool* on) {
-  std::string text = flags.GetString("group-commit", "on");
-  if (text == "on" || text == "true" || text == "1" || text.empty()) {
-    *on = true;
-    return true;
+// Opens the --db directory (if any) on `api`'s engine and arms the
+// --wal-checkpoint-* policy. Reports a failure and returns false.
+bool OpenDbFlag(const orpheus::Flags& flags, orpheus::core::EngineApi* api) {
+  std::string db_dir = flags.GetString("db", "");
+  if (db_dir.empty()) return true;
+  orpheus::Status st = api->orpheus()->Open(db_dir);
+  if (!st.ok()) {
+    std::cerr << "error: cannot open --db=" << db_dir << ": " << st.ToString()
+              << "\n";
+    return false;
   }
-  if (text == "off" || text == "false" || text == "0") {
-    *on = false;
-    return true;
+  if (flags.Has("wal-checkpoint-bytes") || flags.Has("wal-checkpoint-records")) {
+    api->orpheus()->storage()->SetAutoCheckpointPolicy(
+        static_cast<uint64_t>(flags.GetInt("wal-checkpoint-bytes", 0)),
+        static_cast<uint64_t>(flags.GetInt("wal-checkpoint-records", 0)));
   }
-  std::cerr << "error: --group-commit expects on or off, got '" << text
-            << "'\n";
-  return false;
+  return true;
 }
 
 // Applies the observability flags (engine-hosting modes only; a
@@ -111,11 +109,11 @@ void MaybeDumpMetrics(const std::string& path) {
   out << orpheus::obs::GlobalMetrics().RenderPrometheus();
 }
 
-// Runs one line against either a local processor or a remote client;
+// Runs one line against either the local engine or a remote client;
 // prints output / error like the shell always has.
-template <typename Target>
-int RunLine(Target* target, const std::string& line) {
-  auto result = target->Execute(line);
+template <typename ExecuteFn>
+int RunLine(ExecuteFn execute, const std::string& line) {
+  orpheus::Result<std::string> result = execute(line);
   if (!result.ok()) {
     std::cerr << "error: " << result.status().ToString() << "\n";
     return 1;
@@ -124,13 +122,14 @@ int RunLine(Target* target, const std::string& line) {
   return 0;
 }
 
-// The shared shell/script/-c front-end. `exited` reports whether the
-// backing session has ended (local `exit`, or server-side close).
-template <typename Target, typename ExitedFn>
-int RunFrontEnd(Target* target, const std::vector<std::string>& args,
+// The shared shell/script/-c front-end. `execute` runs one line;
+// `exited` reports whether the backing session has ended (local
+// `exit`, or server-side close).
+template <typename ExecuteFn, typename ExitedFn>
+int RunFrontEnd(ExecuteFn execute, const std::vector<std::string>& args,
                 ExitedFn exited) {
   if (args.size() >= 2 && args[0] == "-c") {
-    return RunLine(target, args[1]);
+    return RunLine(execute, args[1]);
   }
   if (args.size() >= 2 && args[0] == "script") {
     std::ifstream in(args[1]);
@@ -141,7 +140,7 @@ int RunFrontEnd(Target* target, const std::vector<std::string>& args,
     std::string line;
     int failures = 0;
     while (std::getline(in, line) && !exited()) {
-      failures += RunLine(target, line);
+      failures += RunLine(execute, line);
     }
     return failures > 0 ? 1 : 0;
   }
@@ -151,7 +150,7 @@ int RunFrontEnd(Target* target, const std::vector<std::string>& args,
   while (!exited()) {
     std::cout << "orpheus> " << std::flush;
     if (!std::getline(std::cin, line)) break;
-    RunLine(target, line);
+    RunLine(execute, line);
   }
   return 0;
 }
@@ -159,23 +158,7 @@ int RunFrontEnd(Target* target, const std::vector<std::string>& args,
 int ServeMain(const orpheus::Flags& flags) {
   orpheus::core::EngineApi api;
   const std::string metrics_dump = ApplyObsFlags(flags);
-  bool group_commit = true;
-  if (!ParseGroupCommit(flags, &group_commit)) return 1;
-  api.set_group_commit(group_commit);
-  std::string db_dir = flags.GetString("db", "");
-  if (!db_dir.empty()) {
-    orpheus::Status st = api.orpheus()->Open(db_dir);
-    if (!st.ok()) {
-      std::cerr << "error: cannot open --db=" << db_dir << ": "
-                << st.ToString() << "\n";
-      return 1;
-    }
-    if (flags.Has("wal-checkpoint-bytes") || flags.Has("wal-checkpoint-records")) {
-      api.orpheus()->storage()->SetAutoCheckpointPolicy(
-          static_cast<uint64_t>(flags.GetInt("wal-checkpoint-bytes", 0)),
-          static_cast<uint64_t>(flags.GetInt("wal-checkpoint-records", 0)));
-    }
-  }
+  if (!OpenDbFlag(flags, &api)) return 1;
 
   orpheus::server::ServerOptions options;
   int64_t port = flags.GetInt("serve", 0);
@@ -221,8 +204,9 @@ int ConnectMain(const orpheus::Flags& flags) {
     std::cerr << "error: cannot connect: " << st.ToString() << "\n";
     return 1;
   }
-  return RunFrontEnd(&client, flags.positional(),
-                     [&client] { return client.closed(); });
+  return RunFrontEnd(
+      [&client](const std::string& line) { return client.Execute(line); },
+      flags.positional(), [&client] { return client.closed(); });
 }
 
 }  // namespace
@@ -239,27 +223,14 @@ int main(int argc, char** argv) {
 
   if (flags.Has("serve")) return ServeMain(flags);
 
-  orpheus::cli::CommandProcessor processor;
+  // Local mode: one in-process engine and one session.
+  orpheus::core::EngineApi api;
+  std::shared_ptr<orpheus::core::SessionContext> session = api.NewSession();
   const std::string metrics_dump = ApplyObsFlags(flags);
-  bool group_commit = true;
-  if (!ParseGroupCommit(flags, &group_commit)) return 1;
-  processor.api()->set_group_commit(group_commit);
-  std::string db_dir = flags.GetString("db", "");
-  if (!db_dir.empty()) {
-    orpheus::Status st = processor.orpheus()->Open(db_dir);
-    if (!st.ok()) {
-      std::cerr << "error: cannot open --db=" << db_dir << ": "
-                << st.ToString() << "\n";
-      return 1;
-    }
-    if (flags.Has("wal-checkpoint-bytes") || flags.Has("wal-checkpoint-records")) {
-      processor.orpheus()->storage()->SetAutoCheckpointPolicy(
-          static_cast<uint64_t>(flags.GetInt("wal-checkpoint-bytes", 0)),
-          static_cast<uint64_t>(flags.GetInt("wal-checkpoint-records", 0)));
-    }
-  }
-  int rc = RunFrontEnd(&processor, flags.positional(),
-                       [&processor] { return processor.exited(); });
+  if (!OpenDbFlag(flags, &api)) return 1;
+  int rc = RunFrontEnd(
+      [&](const std::string& line) { return api.Execute(session.get(), line); },
+      flags.positional(), [&session] { return session->exited(); });
   orpheus::obs::ProcStatsSampler::Instance().Stop();
   MaybeDumpMetrics(metrics_dump);
   return rc;

@@ -9,11 +9,11 @@
 //    (SELECTs, ls, graph, diff, pin) run under the shared side and may
 //    overlap freely; every mutating verb (init/checkout/commit/
 //    discard/drop/optimize/DDL-SQL/checkpoint) takes the exclusive
-//    side. With group commit (the default on durable engines) the
-//    exclusive hold covers only the in-memory apply plus the WAL
-//    *enqueue* — enqueue order under the lock is what fixes the log's
-//    total order — while the write + fdatasync happen after release,
-//    batched across sessions by a group leader (storage_manager.h).
+//    side. On a durable engine the exclusive hold covers only the
+//    in-memory apply plus the WAL *enqueue* — enqueue order under the
+//    lock is what fixes the log's total order — while the write +
+//    fdatasync happen after release, batched across sessions by a
+//    group leader (storage_manager.h).
 //    The epoch is bumped once per successful exclusive statement.
 //
 //  * SnapshotRegistry — which sessions have pinned which CVD at which
@@ -23,10 +23,9 @@
 //    the pin teeth against the one operation that could invalidate it:
 //    DropCvd refuses while another session holds a pin.
 //
-//  * SessionContext — the per-session state that used to live
-//    implicitly in the single-session CommandProcessor (current user,
-//    csv staging map, staged-table ownership, pins, activity clock),
-//    made thread-safe so a session manager and an idle reaper can
+//  * SessionContext — the per-session state (current user, csv
+//    staging map, staged-table ownership, pins, activity clock), made
+//    thread-safe so a session manager and an idle reaper can
 //    inspect it while the session's connection thread uses it.
 //
 // Lock ordering: EngineLock first, then any SessionContext /

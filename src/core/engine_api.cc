@@ -37,7 +37,7 @@ constexpr char kHelp[] =
     "  unpin <cvd> | pins        release / list this session's pins\n"
     "  open <dir>                open/create a durable database directory\n"
     "  checkpoint                fold the WAL into segment files (incremental)\n"
-    "  save <dir>                one-shot snapshot export (no WAL)\n"
+    "  save <dir>                export to a new database directory\n"
     "  threads [<n>]             show or set scan parallelism (0 = hardware)\n"
     "  metrics                   Prometheus text exposition of all metrics\n"
     "  stats                     human-readable metrics + recent/slow ops\n"
@@ -283,9 +283,6 @@ void EngineApi::CloseSession(SessionContext* session, bool discard_staged) {
       std::vector<storage::AppendTicket> tickets;
       {
         std::unique_lock<std::shared_mutex> lock(lock_.mu());
-        if (orpheus_.durable()) {
-          orpheus_.storage()->SetGroupCommit(group_commit_.load());
-        }
         for (const auto& [table, cvd] : staged) {
           // Best-effort: the table may already be gone (CVD dropped, or
           // the staged table committed through the global fallback path).
@@ -431,7 +428,6 @@ Result<std::string> EngineApi::ExecuteParsed(SessionContext* session,
   // after, so other sessions' statements can join the commit group
   // while this one blocks on the leader's single fdatasync.
   std::vector<storage::AppendTicket> tickets;
-  uint64_t sync_head = 0;  // durable WAL head when group commit is off
   Result<std::string> result = std::string();
   {
     std::unique_lock<std::shared_mutex> lock(lock_.mu(), std::defer_lock);
@@ -442,9 +438,6 @@ Result<std::string> EngineApi::ExecuteParsed(SessionContext* session,
       LockWaitHist(/*exclusive=*/true)->Observe(wait.ElapsedSeconds());
     }
     obs::TraceSpan exec_span(obs::TraceStage::kExecute);
-    if (orpheus_.durable()) {
-      orpheus_.storage()->SetGroupCommit(group_commit_.load());
-    }
     result = [&]() -> Result<std::string> {
     if (cmd == "create_user") {
       if (args.size() < 2) return Status::InvalidArgument("create_user <name>");
@@ -514,12 +507,6 @@ Result<std::string> EngineApi::ExecuteParsed(SessionContext* session,
     }();
     if (orpheus_.durable()) {
       tickets = orpheus_.storage()->TakePendingTickets();
-      // With group commit off the appenders already synced everything
-      // they wrote, so the current WAL head is durable — keep the
-      // session bookmark advancing identically in both modes.
-      if (tickets.empty() && result.ok() && !group_commit_.load()) {
-        sync_head = orpheus_.storage()->next_lsn() - 1;
-      }
     }
     if (result.ok()) lock_.BumpEpoch();
   }
@@ -533,8 +520,6 @@ Result<std::string> EngineApi::ExecuteParsed(SessionContext* session,
       return result.ok() ? Result<std::string>(durable) : result;
     }
     session->NoteDurableLsn(tickets.back()->lsn);
-  } else if (sync_head > 0) {
-    session->NoteDurableLsn(sync_head);
   }
   return result;
 }

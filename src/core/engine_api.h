@@ -1,8 +1,8 @@
 // EngineApi: the transport-free command surface of OrpheusDB.
 //
 // This is the layer both front-ends dispatch into — the in-process CLI
-// (cli::CommandProcessor wraps one EngineApi + one SessionContext) and
-// the socket server (one EngineApi shared by every connection). It
+// (one EngineApi and one session) and the socket server (one EngineApi
+// shared by every connection). It
 // owns the engine (OrpheusDB), the engine-wide reader/writer lock, and
 // the snapshot-pin registry, and it is the ONLY supported way to drive
 // the engine from more than one thread.
@@ -16,26 +16,26 @@
 //    open, checkpoint, save, and any non-SELECT SQL) take the
 //    exclusive side; the WAL records they produce while holding it
 //    form a correct total order.
-//  * Group commit (on by default, --group-commit=off to disable): on a
-//    durable engine the exclusive hold covers only the in-memory apply
-//    plus the WAL enqueue; Execute then releases the lock and blocks
-//    in StorageManager::WaitDurable until a group leader has batched
-//    the record — with the records of every other session that reached
-//    the write path meanwhile — into one write + one fdatasync. The
-//    durability point of a mutating statement is still "Execute
-//    returned OK"; what changed is that N concurrent commits cost ~1
-//    sync instead of N, because the sync happens outside the lock.
+//  * Group commit: on a durable engine the exclusive hold covers only
+//    the in-memory apply plus the WAL enqueue; Execute then releases
+//    the lock and blocks in StorageManager::WaitDurable until a group
+//    leader has batched the record — with the records of every other
+//    session that reached the write path meanwhile — into one write +
+//    one fdatasync. The durability point of a mutating statement is
+//    "Execute returned OK", and N concurrent commits cost ~1 sync
+//    instead of N, because the sync happens outside the lock.
 //  * Committed versions are immutable, so a reader that pinned a
 //    version keeps observing exactly that version's records while
 //    writers commit — `pin <cvd>` records the (version, epoch) pair
 //    and guards the CVD against `drop` by other sessions.
 //  * Direct OrpheusDB access via orpheus() bypasses the lock and is
 //    only safe while no other session is executing (setup, tests,
-//    single-threaded tools).
+//    single-threaded tools). A verb logged that way is enqueued like
+//    a statement's; it is durable once the next statement's wait
+//    returns, or once storage()->WaitDurable(TakePendingTickets()) does.
 //
-// Command syntax matches the former cli::CommandProcessor plus the
-// session verbs: `pin <cvd> [-v <vid>]`, `unpin <cvd>`, `pins`, and
-// `discard -t <table>`.
+// `help` lists the command syntax, including the session verbs
+// `pin <cvd> [-v <vid>]`, `unpin <cvd>`, `pins` and `discard -t <table>`.
 
 #ifndef ORPHEUS_CORE_ENGINE_API_H_
 #define ORPHEUS_CORE_ENGINE_API_H_
@@ -53,13 +53,15 @@ namespace orpheus::core {
 
 class EngineApi {
  public:
-  EngineApi() = default;
+  // Owning the engine, EngineApi waits for WAL records itself (after
+  // releasing the exclusive lock), so its verbs only enqueue them.
+  EngineApi() { orpheus_.defer_wal_waits_ = true; }
   EngineApi(const EngineApi&) = delete;
   EngineApi& operator=(const EngineApi&) = delete;
 
   // Creates a session context with a fresh id. Sessions are cheap;
   // the caller owns the lifetime (the server's SessionManager, or the
-  // CommandProcessor for the CLI's single implicit session).
+  // CLI for its single session).
   std::shared_ptr<SessionContext> NewSession();
 
   // Ends a session: releases its pins and (optionally) discards every
@@ -77,12 +79,6 @@ class EngineApi {
 
   EngineLock* lock() { return &lock_; }
   SnapshotRegistry* registry() { return &registry_; }
-
-  // Group commit for the durable write path (see the class comment).
-  // Default on; the CLI/server --group-commit={on,off} flag sets it at
-  // startup. Takes effect at the next mutating statement.
-  void set_group_commit(bool on) { group_commit_.store(on); }
-  bool group_commit() const { return group_commit_.load(); }
 
  private:
   // Execute() minus the per-op trace scope: dispatches one already
@@ -128,7 +124,6 @@ class EngineApi {
   EngineLock lock_;
   SnapshotRegistry registry_;
   std::atomic<uint64_t> next_session_id_{1};
-  std::atomic<bool> group_commit_{true};
 };
 
 }  // namespace orpheus::core

@@ -1,5 +1,7 @@
 #include "core/orpheus.h"
 
+#include <utility>
+
 #include "core/data_model.h"
 #include "storage/io_util.h"
 #include "storage/storage_manager.h"
@@ -109,7 +111,7 @@ Result<VersionId> OrpheusDB::Commit(const std::string& cvd_name,
   }
   ORPHEUS_ASSIGN_OR_RETURN(VersionId vid, cvd->Commit(table_name, message));
   if (storage_ != nullptr) {
-    ORPHEUS_RETURN_NOT_OK(storage_->AppendCommitBody(commit_body));
+    ORPHEUS_RETURN_NOT_OK(storage_->AppendCommitBody(std::move(commit_body)));
   }
   return vid;
 }
@@ -231,7 +233,7 @@ Status OrpheusDB::Checkpoint() {
 Status OrpheusDB::SaveSnapshot(const std::string& dir) {
   if (storage_ != nullptr) {
     // Compare directory identities, not spellings: a watermark-0
-    // snapshot dropped into the live directory would make the next
+    // MANIFEST dropped into the live directory would make the next
     // open replay the whole WAL on top of it. The open dir always
     // resolves; if the target does not yet exist it cannot be it.
     auto open_dir = storage::CanonicalPath(storage_->dir());

@@ -6,15 +6,18 @@
 // manager that makes the version-control verbs crash-safe. The CLI and
 // the examples talk to this class; tests may also reach into Cvd
 // directly (such direct mutations bypass the commit WAL and are only
-// persisted by the next snapshot).
+// persisted by the next checkpoint).
 //
 // Durability contract: with Open() active, every version-control verb
 // (CreateUser/Login/InitCvd/Checkout/Commit/DiscardStaged/DropCvd and
 // partition-store attachment) is appended to the commit WAL after its
 // in-memory apply succeeds; reopening the directory replays the log on
-// top of the latest snapshot. Raw SQL against db() is NOT logged — it
-// becomes durable at the next Checkpoint()/SaveSnapshot(). See
-// docs/PERSISTENCE.md for the recovery contract.
+// top of the latest checkpoint. A verb called on a directly embedded
+// engine returns once its record is on disk; on an engine owned by
+// EngineApi it only enqueues the record, and the EngineApi statement
+// waits for it (storage_manager.h, group commit). Raw SQL against db()
+// is NOT logged — it becomes durable at the next Checkpoint() or
+// SaveSnapshot(). See docs/PERSISTENCE.md for the recovery contract.
 
 #ifndef ORPHEUS_CORE_ORPHEUS_H_
 #define ORPHEUS_CORE_ORPHEUS_H_
@@ -98,14 +101,15 @@ class OrpheusDB {
 
   // --- Durable storage ----------------------------------------------------
   // Opens (creating if needed) a durable database directory: restores
-  // the latest snapshot, replays the commit WAL tail, and arms
+  // the latest checkpoint, replays the commit WAL tail, and arms
   // auto-logging. Requires a fresh engine (no CVDs, no tables).
   Status Open(const std::string& dir);
-  // Writes a fresh snapshot (temp file + atomic rename) and truncates
-  // the WAL. Requires Open().
+  // Writes the dirty tables' segments and a new MANIFEST, then
+  // truncates the WAL. Requires Open().
   Status Checkpoint();
-  // One-shot snapshot export to `dir` (works without Open; does not
-  // arm logging).
+  // One-shot export to `dir` as a database directory that Open()
+  // restores (works without Open; does not arm logging). `dir` must
+  // not already hold a database.
   Status SaveSnapshot(const std::string& dir);
 
   bool durable() const { return storage_ != nullptr; }
@@ -114,6 +118,7 @@ class OrpheusDB {
   storage::StorageManager* storage() { return storage_.get(); }
 
  private:
+  friend class EngineApi;
   friend class storage::SnapshotCodec;
   friend class storage::StorageManager;
 
@@ -126,6 +131,9 @@ class OrpheusDB {
   std::set<std::string> users_;
   std::string current_user_;
   std::unique_ptr<storage::StorageManager> storage_;
+  // Set once by an owning EngineApi: logged verbs leave their WAL
+  // records for the statement to wait on instead of waiting themselves.
+  bool defer_wal_waits_ = false;
 };
 
 }  // namespace orpheus::core

@@ -82,13 +82,15 @@ void Server::Stop() {
     if (acceptor_.joinable()) acceptor_.join();
     return;
   }
+  // Wake the acceptor out of accept() with an error, and close the
+  // socket only once it has exited: a descriptor closed under a
+  // running accept() can be reused by another open meanwhile.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    // Wakes the acceptor out of accept() with an error.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     CloseFd(listen_fd_);
     listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
   {
     // Nudge handlers blocked in poll/read: a shutdown() makes their
     // next read return 0 and the handler exits its loop.

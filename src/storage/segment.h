@@ -1,12 +1,12 @@
 // Checkpoint segment files: one table per file, self-checking.
 //
-// A segment holds exactly one relstore table — the same bytes a v1
-// snapshot's table section used (SnapshotCodec::EncodeTableSection),
-// wrapped in a magic/version/CRC header so a segment can be validated
-// on its own. Segments are immutable once written: a checkpoint never
-// rewrites a live segment, it writes a fresh file under a fresh name
-// and retires the old one after the manifest commits (see manifest.h
-// for the commit protocol and storage_manager.cc for the write path).
+// A segment holds exactly one relstore table — its table section
+// (SnapshotCodec::EncodeTableSection), wrapped in a magic/version/CRC
+// header so a segment can be validated on its own. Segments are
+// immutable once written: a checkpoint never rewrites a live segment,
+// it writes a fresh file under a fresh name and retires the old one
+// after the manifest commits (see manifest.h for the commit protocol
+// and storage_manager.cc for the write path).
 //
 // File layout:
 //

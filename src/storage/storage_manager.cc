@@ -44,6 +44,73 @@ const char* RecordTypeName(WalRecordType type) {
   return "unknown";
 }
 
+// Writes one checkpoint of `db` into `dir`: a fresh segment for every
+// table that cannot be carried over from `prev` (a table is carried
+// over when `clean_epochs` holds its current epoch), then the MANIFEST naming
+// them all with WAL watermark `last_lsn`. Returns the committed
+// manifest; `*epochs` receives each table's epoch as encoded.
+Result<Manifest> WriteCheckpoint(
+    core::OrpheusDB& db, const std::string& dir, const Manifest& prev,
+    const std::map<std::string, uint64_t>& clean_epochs, uint64_t last_lsn,
+    std::map<std::string, uint64_t>* epochs,
+    StorageManager::CheckpointStats* stats) {
+  Manifest next;
+  next.sequence = prev.sequence + 1;
+  next.last_lsn = last_lsn;
+  next.next_segment_id = prev.next_segment_id;
+
+  std::map<std::string, const ManifestSegment*> live;
+  for (const ManifestSegment& seg : prev.segments) live[seg.table] = &seg;
+
+  const std::string segments_dir = StorageManager::SegmentsDir(dir);
+  ORPHEUS_RETURN_NOT_OK(CreateDirectories(segments_dir));
+  for (const std::string& name : db.db()->ListTables()) {
+    const rel::Table* table = db.db()->GetTable(name).value();
+    const uint64_t epoch = table->epoch();
+    (*epochs)[name] = epoch;
+
+    auto clean = clean_epochs.find(name);
+    auto old_seg = live.find(name);
+    if (old_seg != live.end() && clean != clean_epochs.end() &&
+        clean->second == epoch) {
+      // Unchanged since its segment was encoded: carry it over.
+      next.segments.push_back(*old_seg->second);
+      ++stats->segments_reused;
+      continue;
+    }
+    // Dirty (or full-rewrite mode): fresh segment under a fresh name.
+    const std::string file = SegmentFileName(next.next_segment_id++);
+    const std::string blob = EncodeSegmentFile(*table);
+    ORPHEUS_RETURN_NOT_OK(WriteFileDurable(
+        StorageManager::SegmentPath(dir, file), blob, IoFileClass::kSegment));
+    ManifestSegment seg;
+    seg.table = name;
+    seg.file = file;
+    seg.size = blob.size();
+    seg.crc = Crc32(blob);
+    next.segments.push_back(std::move(seg));
+    ++stats->segments_written;
+    stats->bytes_written += blob.size();
+  }
+  if (stats->segments_written > 0) {
+    // New segment files' directory entries must be durable before the
+    // manifest references them.
+    ORPHEUS_RETURN_NOT_OK(SyncDir(segments_dir));
+  }
+
+  BinaryWriter meta;
+  SnapshotCodec::EncodeMeta(db, &meta);
+  next.meta = meta.Release();
+
+  // The commit point: atomically replace the MANIFEST. Before the
+  // rename lands, recovery sees the old manifest plus the full WAL;
+  // after, the new manifest whose watermark skips those records.
+  ORPHEUS_RETURN_NOT_OK(WriteFileAtomic(StorageManager::ManifestPath(dir),
+                                        EncodeManifest(next),
+                                        IoFileClass::kManifest));
+  return next;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<StorageManager>> StorageManager::Open(
@@ -74,11 +141,24 @@ void StorageManager::SetAutoCheckpointPolicy(uint64_t max_wal_bytes,
 
 Status StorageManager::SaveSnapshotTo(core::OrpheusDB* db,
                                       const std::string& dir) {
+  // Segments are written in place under their final names, so reusing
+  // a directory whose MANIFEST may reference one of those names is not
+  // crash-safe; a WAL left there would replay on top of the export.
+  Result<std::vector<std::string>> segments = ListDir(SegmentsDir(dir));
+  if (FileExists(ManifestPath(dir)) || FileExists(WalPath(dir)) ||
+      (segments.ok() && !segments.value().empty())) {
+    return Status::FailedPrecondition(
+        "cannot save into " + dir +
+        ": it already holds a database (MANIFEST, segments or WAL)");
+  }
   ORPHEUS_RETURN_NOT_OK(CreateDirectories(dir));
-  // A standalone export covers everything, so its watermark is 0: a
-  // later Open of the directory replays nothing.
-  std::string blob = SnapshotCodec::Encode(*db, /*last_lsn=*/0);
-  return WriteFileAtomic(SnapshotPath(dir), blob);
+  // An export covers everything, so its watermark is 0: a later Open
+  // of the directory replays nothing.
+  std::map<std::string, uint64_t> epochs;
+  CheckpointStats stats;
+  return WriteCheckpoint(*db, dir, Manifest(), {}, /*last_lsn=*/0, &epochs,
+                         &stats)
+      .status();
 }
 
 Status StorageManager::RestoreFromManifest(uint64_t* last_lsn) {
@@ -177,37 +257,26 @@ Status StorageManager::DeleteOrphanSegments(uint64_t* deleted) {
   } else if (names_or.status().code() != StatusCode::kNotFound) {
     return names_or.status();
   }
-  // A legacy v1 snapshot superseded by the manifest is an orphan too
-  // (migration's final step; also re-run here if that step crashed).
-  if (FileExists(SnapshotPath(dir_))) {
-    ORPHEUS_RETURN_NOT_OK(
-        DeleteFileChecked(SnapshotPath(dir_), IoFileClass::kSegment));
-    ++count;
-  }
   if (deleted != nullptr) *deleted = count;
   return Status::OK();
 }
 
 Status StorageManager::Recover() {
   uint64_t snapshot_lsn = 0;
-  bool migrate_v1 = false;
-  if (FileExists(ManifestPath(dir_))) {
+  const bool has_manifest = FileExists(ManifestPath(dir_));
+  if (has_manifest) {
     Status st = RestoreFromManifest(&snapshot_lsn);
     if (!st.ok()) {
       return Status::Internal("cannot recover " + dir_ +
                               ": manifest restore failed: " + st.ToString());
     }
-  } else if (FileExists(SnapshotPath(dir_))) {
-    // Legacy v1 directory: restore the monolithic snapshot, then (once
-    // the WAL is replayed and the appender armed) migrate in place.
-    ORPHEUS_ASSIGN_OR_RETURN(std::string blob,
-                             ReadFileToString(SnapshotPath(dir_)));
-    Status st = SnapshotCodec::Decode(blob, db_, &snapshot_lsn);
-    if (!st.ok()) {
-      return Status::Internal("cannot recover " + dir_ +
-                              ": snapshot restore failed: " + st.ToString());
-    }
-    migrate_v1 = true;
+  } else if (FileExists(dir_ + "/snapshot.orph")) {
+    // Without this check the directory would open as an empty engine
+    // and replay its WAL onto nothing.
+    return Status::FailedPrecondition(
+        "cannot recover " + dir_ + ": " + dir_ +
+        "/snapshot.orph is a single-file snapshot, a format this build no "
+        "longer reads");
   }
 
   uint64_t max_lsn = snapshot_lsn;
@@ -238,13 +307,7 @@ Status StorageManager::Recover() {
   ORPHEUS_ASSIGN_OR_RETURN(
       wal_, WalWriter::Open(wal_path, max_lsn + 1, replayed_records));
 
-  if (migrate_v1) {
-    // One-shot v1→v2 migration: clean_epochs_ is empty, so this full
-    // checkpoint segments every table, commits the first MANIFEST, and
-    // retires snapshot.orph (as an orphan). If it fails the directory
-    // is still a valid v1 directory and the next open retries.
-    ORPHEUS_RETURN_NOT_OK(Checkpoint());
-  } else if (FileExists(ManifestPath(dir_))) {
+  if (has_manifest) {
     // Remove segments a crashed checkpoint wrote but never committed.
     ORPHEUS_RETURN_NOT_OK(DeleteOrphanSegments(nullptr));
   }
@@ -252,23 +315,6 @@ Status StorageManager::Recover() {
 }
 
 // --- Group commit -------------------------------------------------------
-
-void StorageManager::SetGroupCommit(bool on) {
-  {
-    std::lock_guard<std::mutex> lock(group_mu_);
-    if (group_commit_ == on) return;
-  }
-  // Turning the mode off must not strand queued records: drain first,
-  // so the synchronous path resumes on a clean frame boundary.
-  if (!on) (void)FlushPending();
-  std::lock_guard<std::mutex> lock(group_mu_);
-  group_commit_ = on;
-}
-
-bool StorageManager::group_commit() const {
-  std::lock_guard<std::mutex> lock(group_mu_);
-  return group_commit_;
-}
 
 std::vector<AppendTicket> StorageManager::TakePendingTickets() {
   std::lock_guard<std::mutex> lock(group_mu_);
@@ -323,7 +369,7 @@ Status StorageManager::WaitDurable(const std::vector<AppendTicket>& tickets) {
 
 Status StorageManager::FlushPending() {
   // A manager whose Open failed before the writer was armed (lock file
-  // contention, unrecoverable snapshot) has nothing to flush.
+  // contention, unrecoverable directory) has nothing to flush.
   if (wal_ == nullptr) return Status::OK();
   std::unique_lock<std::mutex> lock(group_mu_);
   while (writer_active_ || !queue_.empty()) {
@@ -336,38 +382,33 @@ Status StorageManager::FlushPending() {
   return wal_->health();
 }
 
-Status StorageManager::AppendChecked(WalRecordType type,
-                                     std::string_view body) {
+Status StorageManager::AppendChecked(WalRecordType type, std::string body) {
   obs::TraceSpan enqueue_span(obs::TraceStage::kWalEnqueue);
+  auto ticket = std::make_shared<PendingAppend>();
+  ticket->type = type;
+  ticket->body = std::move(body);
+  const bool caller_waits = !db_->defer_wal_waits_;
   bool over_bytes = false;
   bool over_records = false;
-  bool grouped;
   {
     std::lock_guard<std::mutex> lock(group_mu_);
-    grouped = group_commit_;
-    if (grouped) {
-      auto ticket = std::make_shared<PendingAppend>();
-      ticket->type = type;
-      ticket->body.assign(body.data(), body.size());
-      // Frame = [u32 len][u32 crc] + [u64 lsn][u8 type] + body.
-      queued_bytes_ += 17 + body.size();
-      queue_.push_back(ticket);
-      unclaimed_.push_back(std::move(ticket));
-      over_bytes = max_wal_bytes_ > 0 &&
-                   wal_->file_bytes() + queued_bytes_ > max_wal_bytes_;
-      over_records = max_wal_records_ > 0 &&
-                     wal_->records() + queue_.size() > max_wal_records_;
-    }
+    // Frame = [u32 len][u32 crc] + [u64 lsn][u8 type] + body.
+    queued_bytes_ += 17 + ticket->body.size();
+    queue_.push_back(ticket);
+    if (!caller_waits) unclaimed_.push_back(ticket);
+    over_bytes = max_wal_bytes_ > 0 &&
+                 wal_->file_bytes() + queued_bytes_ > max_wal_bytes_;
+    over_records = max_wal_records_ > 0 &&
+                   wal_->records() + queue_.size() > max_wal_records_;
   }
-  if (!grouped) {
-    ORPHEUS_RETURN_NOT_OK(wal_->Append(type, body));
-    over_bytes = max_wal_bytes_ > 0 && wal_->file_bytes() > max_wal_bytes_;
-    over_records =
-        max_wal_records_ > 0 && wal_->records() > max_wal_records_;
+  if (caller_waits) {
+    // A direct embedder's verb returns only once its record is on
+    // disk: lead (or join) the group that writes it.
+    ORPHEUS_RETURN_NOT_OK(WaitDurable({ticket}));
   }
   if (over_bytes || over_records) {
     // Safe here: the appender's caller holds the engine's exclusive
-    // lock, so the in-memory state the snapshot encodes is stable and
+    // lock, so the in-memory state the checkpoint encodes is stable and
     // no new enqueues can race the flush.
     return Checkpoint();
   }
@@ -378,63 +419,15 @@ Status StorageManager::Checkpoint() {
   obs::TraceSpan checkpoint_span(obs::TraceStage::kCheckpoint);
   ORPHEUS_RETURN_NOT_OK(FlushPending());
 
-  Manifest next;
-  next.sequence = manifest_.sequence + 1;
-  next.last_lsn = wal_->next_lsn() - 1;
-  next.next_segment_id = manifest_.next_segment_id;
-
-  std::map<std::string, const ManifestSegment*> live;
-  for (const ManifestSegment& seg : manifest_.segments) {
-    live[seg.table] = &seg;
-  }
-
+  // Full-rewrite mode treats every table as dirty.
+  const std::map<std::string, uint64_t> none;
   CheckpointStats stats;
   std::map<std::string, uint64_t> observed_epochs;
-  ORPHEUS_RETURN_NOT_OK(CreateDirectories(SegmentsDir(dir_)));
-  for (const std::string& name : db_->db_.ListTables()) {
-    const rel::Table* table = db_->db_.GetTable(name).value();
-    const uint64_t epoch = table->epoch();
-    observed_epochs[name] = epoch;
-
-    auto clean = clean_epochs_.find(name);
-    auto old_seg = live.find(name);
-    if (incremental_ && old_seg != live.end() &&
-        clean != clean_epochs_.end() && clean->second == epoch) {
-      // Unchanged since its segment was encoded: carry it over.
-      next.segments.push_back(*old_seg->second);
-      ++stats.segments_reused;
-      continue;
-    }
-    // Dirty (or full-rewrite mode): fresh segment under a fresh name.
-    const std::string file = SegmentFileName(next.next_segment_id++);
-    const std::string blob = EncodeSegmentFile(*table);
-    ORPHEUS_RETURN_NOT_OK(
-        WriteFileDurable(SegmentPath(dir_, file), blob, IoFileClass::kSegment));
-    ManifestSegment seg;
-    seg.table = name;
-    seg.file = file;
-    seg.size = blob.size();
-    seg.crc = Crc32(blob);
-    next.segments.push_back(std::move(seg));
-    ++stats.segments_written;
-    stats.bytes_written += blob.size();
-  }
-  if (stats.segments_written > 0) {
-    // New segment files' directory entries must be durable before the
-    // manifest references them.
-    ORPHEUS_RETURN_NOT_OK(SyncDir(SegmentsDir(dir_)));
-  }
-
-  BinaryWriter meta;
-  SnapshotCodec::EncodeMeta(*db_, &meta);
-  next.meta = meta.Release();
-
-  // The commit point: atomically replace the MANIFEST. Before the
-  // rename lands, recovery sees the old manifest plus the full WAL;
-  // after, the new manifest whose watermark skips those records.
-  ORPHEUS_RETURN_NOT_OK(WriteFileAtomic(ManifestPath(dir_),
-                                        EncodeManifest(next),
-                                        IoFileClass::kManifest));
+  ORPHEUS_ASSIGN_OR_RETURN(
+      Manifest next,
+      WriteCheckpoint(*db_, dir_, manifest_,
+                      incremental_ ? clean_epochs_ : none,
+                      wal_->next_lsn() - 1, &observed_epochs, &stats));
 
   manifest_ = std::move(next);
   clean_epochs_ = std::move(observed_epochs);
@@ -465,13 +458,13 @@ Status StorageManager::Checkpoint() {
 Status StorageManager::LogCreateUser(const std::string& name) {
   BinaryWriter body;
   body.PutString(name);
-  return AppendChecked(WalRecordType::kCreateUser, body.data());
+  return AppendChecked(WalRecordType::kCreateUser, body.Release());
 }
 
 Status StorageManager::LogLogin(const std::string& name) {
   BinaryWriter body;
   body.PutString(name);
-  return AppendChecked(WalRecordType::kLogin, body.data());
+  return AppendChecked(WalRecordType::kLogin, body.Release());
 }
 
 Status StorageManager::LogInitCvd(const std::string& name,
@@ -484,7 +477,7 @@ Status StorageManager::LogInitCvd(const std::string& name,
   EncodeStringVec(options.primary_key, &body);
   body.PutString(message);
   EncodeChunk(rows, &body);
-  return AppendChecked(WalRecordType::kInitCvd, body.data());
+  return AppendChecked(WalRecordType::kInitCvd, body.Release());
 }
 
 Status StorageManager::LogCheckout(const std::string& cvd_name,
@@ -494,7 +487,7 @@ Status StorageManager::LogCheckout(const std::string& cvd_name,
   body.PutString(cvd_name);
   EncodeI64Vec(vids, &body);
   body.PutString(table_name);
-  return AppendChecked(WalRecordType::kCheckout, body.data());
+  return AppendChecked(WalRecordType::kCheckout, body.Release());
 }
 
 std::string StorageManager::EncodeCommitBody(const std::string& cvd_name,
@@ -509,8 +502,8 @@ std::string StorageManager::EncodeCommitBody(const std::string& cvd_name,
   return body.Release();
 }
 
-Status StorageManager::AppendCommitBody(const std::string& body) {
-  return AppendChecked(WalRecordType::kCommit, body);
+Status StorageManager::AppendCommitBody(std::string body) {
+  return AppendChecked(WalRecordType::kCommit, std::move(body));
 }
 
 Status StorageManager::LogDiscardStaged(const std::string& cvd_name,
@@ -518,13 +511,13 @@ Status StorageManager::LogDiscardStaged(const std::string& cvd_name,
   BinaryWriter body;
   body.PutString(cvd_name);
   body.PutString(table_name);
-  return AppendChecked(WalRecordType::kDiscardStaged, body.data());
+  return AppendChecked(WalRecordType::kDiscardStaged, body.Release());
 }
 
 Status StorageManager::LogDropCvd(const std::string& cvd_name) {
   BinaryWriter body;
   body.PutString(cvd_name);
-  return AppendChecked(WalRecordType::kDropCvd, body.data());
+  return AppendChecked(WalRecordType::kDropCvd, body.Release());
 }
 
 Status StorageManager::LogRepartition(
@@ -534,7 +527,7 @@ Status StorageManager::LogRepartition(
   body.PutString(cvd_name);
   body.PutU32(static_cast<uint32_t>(groups.size()));
   for (const std::vector<VersionId>& group : groups) EncodeI64Vec(group, &body);
-  return AppendChecked(WalRecordType::kRepartition, body.data());
+  return AppendChecked(WalRecordType::kRepartition, body.Release());
 }
 
 // --- Replay -------------------------------------------------------------

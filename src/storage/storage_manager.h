@@ -1,6 +1,5 @@
 // StorageManager: the orchestration layer of the durable storage
-// subsystem. One manager owns one database directory (storage format
-// v2 — segmented incremental checkpoints):
+// subsystem. One manager owns one database directory:
 //
 //   <dir>/MANIFEST           the commit point (see manifest.h)
 //   <dir>/segments/          immutable per-table segment files
@@ -11,9 +10,7 @@
 // Open() recovers: load the MANIFEST (if any), restore its segments
 // in parallel, replay every WAL record past the manifest's LSN
 // watermark, truncate any torn tail, delete unreferenced segment
-// files, and arm the appender. A directory holding a legacy v1
-// `snapshot.orph` instead of a MANIFEST is migrated in place on first
-// open (restore v1 → full checkpoint → retire the snapshot).
+// files, and arm the appender.
 //
 // Checkpoint() is incremental: each table carries a mutation epoch
 // (rel::Table::epoch), and only tables whose epoch moved since the
@@ -25,16 +22,15 @@
 // manifest (plus a fully replayable WAL) or the new one (whose
 // watermark skips the folded WAL records) — never a hybrid; stray
 // segment files are orphans, invisible to recovery and deleted by
-// the next checkpoint or open.
+// the next checkpoint or open. SaveSnapshotTo() writes the same
+// segments and MANIFEST into another directory.
 //
 // OrpheusDB calls the typed Log* appenders after each version-control
-// verb succeeds in memory; the OK returned by an appender is the
-// operation's durability point — unless group commit is enabled, in
-// which case appenders only enqueue and the durability point moves to
-// WaitDurable() (see the group-commit section below). Replay applies
-// records through the same OrpheusDB verbs — logging is disarmed
-// during recovery because the manager is not yet attached to the
-// engine.
+// verb succeeds in memory. Every appender enqueues its record on the
+// commit-group queue (see the group-commit section below); who waits
+// for it depends on who owns the engine. Replay applies records
+// through the same OrpheusDB verbs — logging is disarmed during
+// recovery because the manager is not yet attached to the engine.
 
 #ifndef ORPHEUS_STORAGE_STORAGE_MANAGER_H_
 #define ORPHEUS_STORAGE_STORAGE_MANAGER_H_
@@ -79,16 +75,12 @@ class StorageManager {
   static Result<std::unique_ptr<StorageManager>> Open(const std::string& dir,
                                                       core::OrpheusDB* db);
 
-  // One-shot snapshot export (no WAL, no recovery arm). Still the v1
-  // single-file format: a portable whole-engine image, and the input
-  // of the v1→v2 migration path.
+  // One-shot export (no WAL, no recovery arm): writes `db` into `dir`
+  // as one segment per table plus a MANIFEST with WAL watermark 0, so
+  // a later Open of `dir` restores it and replays nothing. Refuses a
+  // directory that already holds a MANIFEST, segments or a WAL.
   static Status SaveSnapshotTo(core::OrpheusDB* db, const std::string& dir);
 
-  // Legacy v1 snapshot location — written by SaveSnapshotTo, read only
-  // by the migration path.
-  static std::string SnapshotPath(const std::string& dir) {
-    return dir + "/snapshot.orph";
-  }
   static std::string ManifestPath(const std::string& dir) {
     return dir + "/MANIFEST";
   }
@@ -147,21 +139,20 @@ class StorageManager {
 
   // --- Group commit (RocksDB write-group style) -------------------------
   //
-  // Off (the default), every appender writes + fdatasyncs its own
-  // record before returning — the appender's OK is the durability
-  // point, which is what direct OrpheusDB embedders expect.
+  // Appenders only *enqueue*: the record joins the commit-group queue
+  // (the enqueue order — fixed by the engine's exclusive lock — is the
+  // LSN order). The durability point is WaitDurable(): the first
+  // waiter whose record is still pending becomes the group leader,
+  // drains the whole queue into ONE WalWriter::AppendBatch (one write,
+  // one fdatasync), and wakes every follower with its individual
+  // Status.
   //
-  // On, appenders only *enqueue*: the record joins the commit group
-  // queue and the appender returns OK immediately (the enqueue order —
-  // fixed by the engine's exclusive lock — is the LSN order). The
-  // durability point moves to WaitDurable(): the first waiter whose
-  // record is still pending becomes the group leader, drains the whole
-  // queue into ONE WalWriter::AppendBatch (one write, one fdatasync),
-  // and wakes every follower with its individual Status. EngineApi
-  // enables this mode and performs the wait after releasing the
-  // exclusive lock, so commit groups form while the leader syncs.
-  void SetGroupCommit(bool on);
-  bool group_commit() const;
+  // Who waits is decided by who owns the engine. A direct OrpheusDB
+  // embedder's appender waits on its own ticket before returning, so
+  // the verb's OK is its durability point (a group of one). An engine
+  // owned by EngineApi leaves the ticket for TakePendingTickets(); the
+  // statement waits after releasing the exclusive lock, so commit
+  // groups form while the leader syncs.
 
   // Hands over the tickets enqueued since the last call. Must be
   // called by the thread that just ran the appenders, before it
@@ -194,7 +185,7 @@ class StorageManager {
                                       const std::string& table_name,
                                       const std::string& message,
                                       const rel::Chunk& staged_rows);
-  Status AppendCommitBody(const std::string& body);
+  Status AppendCommitBody(std::string body);
   Status LogDiscardStaged(const std::string& cvd_name,
                           const std::string& table_name);
   Status LogDropCvd(const std::string& cvd_name);
@@ -214,19 +205,18 @@ class StorageManager {
   // On success `*last_lsn` receives the manifest's WAL watermark.
   Status RestoreFromManifest(uint64_t* last_lsn);
 
-  // Deletes files in <dir>/segments not named by `manifest_`, plus a
-  // superseded legacy snapshot.orph. `*deleted` (optional) receives
-  // the count.
+  // Deletes files in <dir>/segments not named by `manifest_`.
+  // `*deleted` (optional) receives the count.
   Status DeleteOrphanSegments(uint64_t* deleted);
 
-  // Appends (or, in group-commit mode, enqueues) one record, then
-  // folds the WAL into a fresh snapshot if the policy's bounds are
-  // exceeded. Appenders call through here so every logged verb is a
-  // potential checkpoint trigger — the engine has fully applied the
-  // verb in memory by the time it logs, so the snapshot is consistent,
-  // and the caller holds the engine's exclusive lock, so flushing the
-  // queue before snapshotting is race-free.
-  Status AppendChecked(WalRecordType type, std::string_view body);
+  // Enqueues one record (waiting for it unless EngineApi owns the
+  // engine), then folds the WAL into a checkpoint if the policy's
+  // bounds are exceeded. Appenders call through here so every logged
+  // verb is a potential checkpoint trigger — the engine has fully
+  // applied the verb in memory by the time it logs, so the checkpoint
+  // is consistent, and the caller holds the engine's exclusive lock,
+  // so flushing the queue before checkpointing is race-free.
+  Status AppendChecked(WalRecordType type, std::string body);
 
   // Becomes the group leader: drains the queue into one AppendBatch
   // and completes every drained ticket. `lock` must hold group_mu_ and
@@ -257,7 +247,6 @@ class StorageManager {
   std::deque<AppendTicket> queue_;        // enqueued, not yet written
   std::vector<AppendTicket> unclaimed_;   // enqueued, not yet taken
   bool writer_active_ = false;            // a leader is writing/syncing
-  bool group_commit_ = false;
   uint64_t queued_bytes_ = 0;             // frame bytes queued (policy input)
 };
 

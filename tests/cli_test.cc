@@ -1,16 +1,17 @@
-// Tests for the CSV helpers and the command processor (the `orpheus`
-// client's brain): the full checkout/commit/diff/optimize flow driven
-// through command lines, as a user would.
+// Tests for the CSV helpers and the `orpheus` client's local mode (one
+// EngineApi and one session): the full checkout/commit/diff/optimize
+// flow driven through command lines, as a user would.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 
-#include "cli/command_processor.h"
 #include "common/csv.h"
+#include "core/engine_api.h"
 
-namespace orpheus::cli {
+namespace orpheus {
 namespace {
 
 TEST(CsvTest, ParseWithTypeInference) {
@@ -66,13 +67,18 @@ class CliTest : public ::testing::Test {
 
   void TearDown() override { std::remove(csv_path_.c_str()); }
 
+  Result<std::string> Execute(const std::string& command) {
+    return api_.Execute(session_.get(), command);
+  }
+
   std::string Must(const std::string& command) {
-    auto r = processor_.Execute(command);
+    auto r = Execute(command);
     EXPECT_TRUE(r.ok()) << command << " -> " << r.status().ToString();
     return r.ok() ? r.value() : "";
   }
 
-  CommandProcessor processor_;
+  core::EngineApi api_;
+  std::shared_ptr<core::SessionContext> session_ = api_.NewSession();
   std::string csv_path_;
 };
 
@@ -82,15 +88,15 @@ TEST_F(CliTest, HelpAndUsers) {
   Must("create_user alice");
   Must("config alice");
   EXPECT_EQ(Must("whoami"), "alice");
-  EXPECT_FALSE(processor_.Execute("config nobody").ok());
+  EXPECT_FALSE(Execute("config nobody").ok());
 }
 
 TEST_F(CliTest, ThreadsCommandShowsAndSetsParallelism) {
   EXPECT_EQ(Must("threads 3"), "exec threads: 3");
   EXPECT_EQ(Must("threads"), "exec threads: 3");
   EXPECT_EQ(Must("threads 1"), "exec threads: 1");
-  EXPECT_FALSE(processor_.Execute("threads -2").ok());
-  EXPECT_FALSE(processor_.Execute("threads many").ok());
+  EXPECT_FALSE(Execute("threads -2").ok());
+  EXPECT_FALSE(Execute("threads many").ok());
   Must("threads 0");  // restore the hardware default
 }
 
@@ -165,15 +171,15 @@ TEST_F(CliTest, OptimizePartitionsAndCheckoutStillWorks) {
 }
 
 TEST_F(CliTest, ErrorsSurfaceCleanly) {
-  EXPECT_FALSE(processor_.Execute("checkout nope -v 1 -t t").ok());
-  EXPECT_FALSE(processor_.Execute("frobnicate").ok());
-  EXPECT_FALSE(processor_.Execute("init x").ok());
-  EXPECT_FALSE(processor_.Execute("commit -t unknown -m x").ok());
+  EXPECT_FALSE(Execute("checkout nope -v 1 -t t").ok());
+  EXPECT_FALSE(Execute("frobnicate").ok());
+  EXPECT_FALSE(Execute("init x").ok());
+  EXPECT_FALSE(Execute("commit -t unknown -m x").ok());
 }
 
 TEST_F(CliTest, ExitSetsFlag) {
   Must("exit");
-  EXPECT_TRUE(processor_.exited());
+  EXPECT_TRUE(session_->exited());
 }
 
 TEST_F(CliTest, DiscardDropsStagedTable) {
@@ -181,8 +187,8 @@ TEST_F(CliTest, DiscardDropsStagedTable) {
   Must("checkout protein -v 1 -t w");
   EXPECT_EQ(Must("discard -t w"), "discarded staged table w");
   // The table is gone: committing it now is a clean error.
-  EXPECT_FALSE(processor_.Execute("commit -t w -m x").ok());
-  EXPECT_FALSE(processor_.Execute("discard -t w").ok());
+  EXPECT_FALSE(Execute("commit -t w -m x").ok());
+  EXPECT_FALSE(Execute("discard -t w").ok());
 }
 
 TEST_F(CliTest, PinUnpinAndPinsVerbs) {
@@ -193,12 +199,12 @@ TEST_F(CliTest, PinUnpinAndPinsVerbs) {
   EXPECT_NE(Must("pins").find("protein v1"), std::string::npos);
   EXPECT_EQ(Must("unpin protein"), "unpinned protein");
   EXPECT_EQ(Must("pins"), "(no pins)");
-  EXPECT_FALSE(processor_.Execute("unpin protein").ok());
-  EXPECT_FALSE(processor_.Execute("pin protein -v 42").ok());
+  EXPECT_FALSE(Execute("unpin protein").ok());
+  EXPECT_FALSE(Execute("pin protein -v 42").ok());
   // The CLI's own session may drop what only it has pinned.
   Must("pin protein");
   EXPECT_EQ(Must("drop protein"), "dropped protein");
 }
 
 }  // namespace
-}  // namespace orpheus::cli
+}  // namespace orpheus

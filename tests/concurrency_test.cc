@@ -20,8 +20,8 @@
 #include "core/concurrency.h"
 #include "core/engine_api.h"
 #include "core/orpheus.h"
+#include "persisted_state.h"
 #include "storage/io_util.h"
-#include "storage/snapshot.h"
 #include "storage/storage_manager.h"
 
 namespace orpheus {
@@ -267,7 +267,7 @@ TEST(EngineApiSessions, PinnedReaderSeesStableSnapshotWhileWriterCommits) {
 // schedules concurrently. The exclusive lock serializes every mutation
 // and its WAL append, so the WAL is a total order; replaying it into a
 // fresh engine must reproduce the live engine bit-for-bit (compared
-// through the snapshot codec, which canonicalizes all engine state).
+// through the bytes a checkpoint would persist for each).
 // Run at both --threads=1 and --threads=4 so the relstore's parallel
 // scan paths are exercised under the shared lock too.
 
@@ -321,14 +321,14 @@ void RunInterleavingSchedule(int exec_threads, uint32_t seed) {
       });
     }
     for (std::thread& t : threads) t.join();
-    live_blob = storage::SnapshotCodec::Encode(*api.orpheus(), 0);
+    live_blob = PersistedState(*api.orpheus());
   }
 
   // Replay the WAL the concurrent run wrote. Equality proves the log
   // is a correct total order of what actually happened.
   OrpheusDB recovered;
   ASSERT_TRUE(recovered.Open(dir.path()).ok());
-  std::string recovered_blob = storage::SnapshotCodec::Encode(recovered, 0);
+  std::string recovered_blob = PersistedState(recovered);
   EXPECT_EQ(live_blob, recovered_blob)
       << "concurrent schedule diverged from its WAL replay";
 }

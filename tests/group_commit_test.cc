@@ -3,10 +3,11 @@
 // Three layers of assurance, mirroring the durability contract in
 // docs/PERSISTENCE.md:
 //
-//  * Deterministic mechanics against a bare StorageManager — N
-//    enqueued records become ONE AppendBatch with consecutive LSNs and
-//    exactly one fdatasync; turning the mode off drains the queue; the
-//    synchronous path still syncs per record and leaves no tickets.
+//  * Deterministic mechanics against a StorageManager — on an engine
+//    EngineApi owns, N enqueued records become ONE AppendBatch with
+//    consecutive LSNs and exactly one fdatasync; a direct embedder's
+//    verbs each lead a group of one, so they sync per record and leave
+//    no tickets.
 //
 //  * Stress over real server TCP — K sessions × M commits against a
 //    durable engine (with an injected fdatasync delay so commit groups
@@ -16,9 +17,9 @@
 //    Run at --threads {1, 4} like the other concurrency suites.
 //
 //  * EngineApi semantics — per-session last_durable_lsn is monotonic,
-//    --group-commit=off behaves exactly like the old one-sync-per-
-//    record path, and the auto-checkpoint policy still fires when the
-//    growth happened through queued records.
+//    a lone session pays one sync per record, and the auto-checkpoint
+//    policy still fires when the growth happened through queued
+//    records.
 
 #include <atomic>
 #include <memory>
@@ -32,9 +33,9 @@
 #include "core/engine_api.h"
 #include "core/orpheus.h"
 #include "server/client.h"
+#include "persisted_state.h"
 #include "server/server.h"
 #include "storage/io_util.h"
-#include "storage/snapshot.h"
 #include "storage/storage_manager.h"
 #include "storage/wal.h"
 
@@ -78,10 +79,14 @@ rel::Chunk MakeRows(int n) {
   return rows;
 }
 
+// Inits a CVD through the engine directly and waits out its WAL record,
+// so the record counts and syncs a test measures start after it.
 void Seed(EngineApi* api, const std::string& name, int n) {
   CvdOptions options;
   options.primary_key = {"k"};
   ASSERT_TRUE(api->orpheus()->InitCvd(name, MakeRows(n), options, "init").ok());
+  storage::StorageManager* sm = api->orpheus()->storage();
+  ASSERT_TRUE(sm->WaitDurable(sm->TakePendingTickets()).ok());
 }
 
 std::string MustExecute(EngineApi* api, SessionContext* session,
@@ -115,12 +120,11 @@ void ExpectGaplessWal(const std::string& dir, size_t want_records) {
 
 TEST(GroupCommit, BatchedEnqueuesCostOneSync) {
   TempDir dir;
-  OrpheusDB db;
+  EngineApi api;  // owns the engine, so its verbs only enqueue
+  OrpheusDB& db = *api.orpheus();
   ASSERT_TRUE(db.Open(dir.path()).ok());
   storage::StorageManager* sm = db.storage();
 
-  sm->SetGroupCommit(true);
-  ASSERT_TRUE(sm->group_commit());
   uint64_t syncs_before = sm->wal_syncs();
 
   // Three verbs enqueue three records; none of them syncs anything.
@@ -150,38 +154,17 @@ TEST(GroupCommit, BatchedEnqueuesCostOneSync) {
   ExpectGaplessWal(dir.path(), 3);
 }
 
-TEST(GroupCommit, SyncModeSyncsEveryRecordAndLeavesNoTickets) {
+TEST(GroupCommit, DirectEmbedderSyncsEveryRecordAndLeavesNoTickets) {
   TempDir dir;
   OrpheusDB db;
   ASSERT_TRUE(db.Open(dir.path()).ok());
   storage::StorageManager* sm = db.storage();
-  ASSERT_FALSE(sm->group_commit());  // the embedder default
 
   uint64_t syncs_before = sm->wal_syncs();
   ASSERT_TRUE(db.CreateUser("u1").ok());
   ASSERT_TRUE(db.CreateUser("u2").ok());
   EXPECT_EQ(syncs_before + 2, sm->wal_syncs());
   EXPECT_TRUE(sm->TakePendingTickets().empty());
-}
-
-TEST(GroupCommit, TurningModeOffDrainsTheQueue) {
-  TempDir dir;
-  OrpheusDB db;
-  ASSERT_TRUE(db.Open(dir.path()).ok());
-  storage::StorageManager* sm = db.storage();
-
-  sm->SetGroupCommit(true);
-  ASSERT_TRUE(db.CreateUser("u1").ok());
-  ASSERT_TRUE(db.CreateUser("u2").ok());
-  std::vector<storage::AppendTicket> tickets = sm->TakePendingTickets();
-  ASSERT_EQ(2u, tickets.size());
-  EXPECT_FALSE(tickets[0]->done);
-
-  sm->SetGroupCommit(false);  // must not strand the queued records
-  EXPECT_TRUE(tickets[0]->done);
-  EXPECT_TRUE(tickets[1]->done);
-  EXPECT_TRUE(sm->WaitDurable(tickets).ok());
-  ExpectGaplessWal(dir.path(), 2);
 }
 
 // --- EngineApi semantics -------------------------------------------------
@@ -209,12 +192,11 @@ TEST(GroupCommit, SessionDurableLsnIsMonotonic) {
   EXPECT_EQ(api.orpheus()->storage()->next_lsn() - 1, prev);
 }
 
-TEST(GroupCommit, OffModeOverApiSyncsPerRecord) {
+TEST(GroupCommit, LoneSessionSyncsPerRecord) {
   TempDir dir;
   std::string live_blob;
   {
     EngineApi api;
-    api.set_group_commit(false);
     ASSERT_TRUE(api.orpheus()->Open(dir.path()).ok());
     Seed(&api, "c", 4);
     auto session = api.NewSession();
@@ -223,16 +205,17 @@ TEST(GroupCommit, OffModeOverApiSyncsPerRecord) {
     uint64_t records_before = sm->wal_records();
     MustExecute(&api, session.get(), "checkout c -v 1 -t w");
     MustExecute(&api, session.get(), "commit -t w -m x");
-    // One fdatasync per record: the pre-group-commit write path.
+    // With nobody to share a group with, every record pays its own
+    // fdatasync: the 1-session baseline of the group-commit bench.
+    EXPECT_EQ(2u, sm->wal_records() - records_before);
     EXPECT_EQ(sm->wal_records() - records_before,
               sm->wal_syncs() - syncs_before);
-    // Statements still report durability through the session bookmark.
     EXPECT_EQ(sm->next_lsn() - 1, session->last_durable_lsn());
-    live_blob = storage::SnapshotCodec::Encode(*api.orpheus(), 0);
+    live_blob = PersistedState(*api.orpheus());
   }
   OrpheusDB recovered;
   ASSERT_TRUE(recovered.Open(dir.path()).ok());
-  EXPECT_EQ(live_blob, storage::SnapshotCodec::Encode(recovered, 0));
+  EXPECT_EQ(live_blob, PersistedState(recovered));
 }
 
 TEST(GroupCommit, AutoCheckpointStillFiresOnQueuedGrowth) {
@@ -244,7 +227,7 @@ TEST(GroupCommit, AutoCheckpointStillFiresOnQueuedGrowth) {
     Seed(&api, "c", 4);
     // Bound the WAL at 3 records: the policy must count queued (not
     // yet written) records too, flush them, and fold the log into a
-    // snapshot from inside the group-commit path.
+    // checkpoint from inside the group-commit path.
     api.orpheus()->storage()->SetAutoCheckpointPolicy(0, 3);
     auto session = api.NewSession();
     for (int i = 0; i < 4; ++i) {
@@ -255,11 +238,11 @@ TEST(GroupCommit, AutoCheckpointStillFiresOnQueuedGrowth) {
     EXPECT_TRUE(
         storage::FileExists(storage::StorageManager::ManifestPath(dir.path())));
     EXPECT_LE(api.orpheus()->storage()->wal_records(), 3u);
-    live_blob = storage::SnapshotCodec::Encode(*api.orpheus(), 0);
+    live_blob = PersistedState(*api.orpheus());
   }
   OrpheusDB recovered;
   ASSERT_TRUE(recovered.Open(dir.path()).ok());
-  EXPECT_EQ(live_blob, storage::SnapshotCodec::Encode(recovered, 0));
+  EXPECT_EQ(live_blob, PersistedState(recovered));
 }
 
 // --- Stress over real server TCP ----------------------------------------
@@ -279,7 +262,6 @@ void RunTcpStress(int exec_threads) {
   size_t total_records = 0;
   {
     EngineApi api;
-    ASSERT_TRUE(api.group_commit());  // the server default
     ASSERT_TRUE(api.orpheus()->Open(dir.path()).ok());
     Seed(&api, "c", 6);
     storage::StorageManager* sm = api.orpheus()->storage();
@@ -334,7 +316,7 @@ void RunTcpStress(int exec_threads) {
         << "no commit group ever held more than one record";
 
     total_records = static_cast<size_t>(sm->wal_records());
-    live_blob = storage::SnapshotCodec::Encode(*api.orpheus(), 0);
+    live_blob = PersistedState(*api.orpheus());
   }
   ExpectGaplessWal(dir.path(), total_records);
 
@@ -342,7 +324,7 @@ void RunTcpStress(int exec_threads) {
   // correct total order of what actually happened.
   OrpheusDB recovered;
   ASSERT_TRUE(recovered.Open(dir.path()).ok());
-  EXPECT_EQ(live_blob, storage::SnapshotCodec::Encode(recovered, 0))
+  EXPECT_EQ(live_blob, PersistedState(recovered))
       << "recovered engine diverged from the live one";
 }
 

@@ -1,8 +1,8 @@
-// Durable storage subsystem tests: snapshot round-trips for all five
+// Durable storage subsystem tests: export round-trips for all five
 // data models, WAL replay, checkpointing, and the recovery edge cases
 // the contract promises to survive — torn WAL tails at every byte
-// boundary of the last record, CRC-corrupted records, snapshot
-// format-version mismatches, and empty-directory opens. The
+// boundary of the last record, CRC-corrupted records, corrupt
+// segments and manifests, and empty-directory opens. The
 // crash-prefix property test is the acceptance bar: recovery from any
 // WAL-record prefix reproduces the corresponding engine state
 // bit-identically, across --threads {1, 4}.
@@ -20,12 +20,12 @@
 
 #include <gtest/gtest.h>
 
-#include "cli/command_processor.h"
 #include "common/thread_pool.h"
+#include "core/engine_api.h"
 #include "core/orpheus.h"
+#include "persisted_state.h"
 #include "storage/io_util.h"
 #include "storage/manifest.h"
-#include "storage/snapshot.h"
 #include "storage/storage_manager.h"
 #include "storage/wal.h"
 
@@ -50,9 +50,6 @@ class TempDir {
   std::string path_;
 };
 
-std::string SnapPath(const std::string& dir) {
-  return storage::StorageManager::SnapshotPath(dir);
-}
 std::string ManifestPath(const std::string& dir) {
   return storage::StorageManager::ManifestPath(dir);
 }
@@ -187,11 +184,10 @@ void CopyFileIfExists(const std::string& from, const std::string& to) {
   ASSERT_TRUE(storage::WriteFileAtomic(to, bytes).ok());
 }
 
-// Clones the durable state — legacy snapshot, MANIFEST + segments,
-// WAL — into a fresh directory (simulated crash copy; LOCK excluded).
+// Clones the durable state — MANIFEST + segments, WAL — into a fresh
+// directory (simulated crash copy; LOCK excluded).
 void CloneDbDir(const std::string& from, const std::string& to) {
   ASSERT_TRUE(storage::CreateDirectories(to).ok());
-  CopyFileIfExists(SnapPath(from), SnapPath(to));
   CopyFileIfExists(ManifestPath(from), ManifestPath(to));
   auto segments = storage::ListDir(SegmentsDir(from));
   if (segments.ok()) {
@@ -306,7 +302,7 @@ TEST(Wal, TornTailStopsCleanly) {
   }
 }
 
-// --- Snapshot round trips ----------------------------------------------
+// --- Export round trips ------------------------------------------------
 
 class SnapshotAllModels : public ::testing::TestWithParam<DataModelKind> {};
 
@@ -336,7 +332,7 @@ TEST_P(SnapshotAllModels, RoundTripIsBitIdentical) {
           db.db()->Execute("UPDATE w2 SET name = 'renamed' WHERE k = 5").ok());
     }
     ASSERT_TRUE(db.Commit("t", "w2", "v3").ValueOrDie() == 3);
-    // Leave a staged checkout behind: the snapshot must carry it.
+    // Leave a staged checkout behind: the export must carry it.
     ASSERT_TRUE(db.Checkout("t", {3}, "pending").ok());
     ASSERT_TRUE(db.CreateUser("alice").ok());
     ASSERT_TRUE(db.Login("alice").ok());
@@ -344,8 +340,15 @@ TEST_P(SnapshotAllModels, RoundTripIsBitIdentical) {
     ref = Capture(&db);
     ASSERT_TRUE(db.SaveSnapshot(dir.path()).ok());
   }
+  // The export is a database directory: a MANIFEST covering everything
+  // (watermark 0) and one segment per table, no WAL.
+  ASSERT_TRUE(storage::FileExists(ManifestPath(dir.path())));
+  EXPECT_FALSE(storage::FileExists(WalPath(dir.path())));
   OrpheusDB restored;
   ASSERT_TRUE(restored.Open(dir.path()).ok());
+  EXPECT_EQ(0u, restored.storage()->manifest().last_lsn);
+  EXPECT_EQ(restored.db()->ListTables().size(),
+            restored.storage()->manifest().segments.size());
   ExpectEngineEquals(ref, &restored, "restored");
   EXPECT_EQ("alice", restored.WhoAmI());
   // The restored engine is fully operational: commit the surviving
@@ -385,7 +388,7 @@ TEST(Persistence, WalReplayRestoresCommitsExactly) {
     ASSERT_EQ(2, db.Commit("t", "w", "edited").ValueOrDie());
     ref = Capture(&db);
   }
-  ASSERT_FALSE(storage::FileExists(SnapPath(dir.path())));  // WAL only
+  ASSERT_FALSE(storage::FileExists(ManifestPath(dir.path())));  // WAL only
   EngineRef ref2;
   {
     OrpheusDB recovered;
@@ -520,7 +523,7 @@ TEST(Persistence, PartitionStoreSurvivesWalAndSnapshot) {
     ASSERT_TRUE(recovered.Checkpoint().ok());
   }
   // Pass 2: after the checkpoint the store must come back from the
-  // snapshot codec path instead.
+  // MANIFEST instead.
   OrpheusDB again;
   ASSERT_TRUE(again.Open(dir.path()).ok());
   part::PartitionStore* store = again.partition_store("t");
@@ -638,39 +641,69 @@ TEST(Persistence, CrcCorruptedRecordStopsReplayCleanly) {
   }
 }
 
-TEST(Persistence, SnapshotFormatVersionMismatchFailsClearly) {
+// A single-file snapshot.orph (the retired export format) is never
+// read: without a MANIFEST beside it, Open refuses instead of opening
+// an empty engine and replaying the WAL onto it.
+TEST(Persistence, OpenRefusesSingleFileSnapshotDirectory) {
   TempDir dir;
+  const std::string snapshot = dir.Sub("snapshot.orph");
+  ASSERT_TRUE(storage::WriteFileAtomic(snapshot, "ORPHSNAP").ok());
   {
-    OrpheusDB db;
-    CvdOptions options;
-    ASSERT_TRUE(db.InitCvd("t", SampleRows(3), options, "init").ok());
-    ASSERT_TRUE(db.SaveSnapshot(dir.path()).ok());
+    auto writer = storage::WalWriter::Open(WalPath(dir.path()), 1).ValueOrDie();
+    ASSERT_TRUE(writer->Append(storage::WalRecordType::kCreateUser, "").ok());
   }
-  std::string blob = storage::ReadFileToString(SnapPath(dir.path())).ValueOrDie();
-  blob[storage::kSnapshotVersionOffset] = 99;
-  ASSERT_TRUE(storage::WriteFileAtomic(SnapPath(dir.path()), blob).ok());
+  const int64_t wal_size = storage::FileSize(WalPath(dir.path())).ValueOrDie();
   OrpheusDB db;
   Status st = db.Open(dir.path());
   ASSERT_FALSE(st.ok());
-  EXPECT_NE(std::string::npos, st.message().find("version"))
-      << st.ToString();
+  EXPECT_EQ(StatusCode::kFailedPrecondition, st.code());
+  EXPECT_NE(std::string::npos, st.message().find(snapshot)) << st.ToString();
+  EXPECT_FALSE(db.durable());
+  EXPECT_TRUE(db.ListCvds().empty());
+  // Nothing was replayed, truncated or written.
+  EXPECT_EQ(wal_size, storage::FileSize(WalPath(dir.path())).ValueOrDie());
+  EXPECT_FALSE(storage::FileExists(ManifestPath(dir.path())));
 }
 
-TEST(Persistence, CorruptSnapshotBodyFailsWithoutCrashing) {
+// `save` writes segments in place under their final names, so it must
+// refuse a directory that already holds a database: a MANIFEST that may
+// reference those names, stray segments, or a WAL that would replay on
+// top of the export.
+TEST(Persistence, SaveRefusesDirectoryHoldingADatabase) {
   TempDir dir;
-  {
-    OrpheusDB db;
-    CvdOptions options;
-    ASSERT_TRUE(db.InitCvd("t", SampleRows(3), options, "init").ok());
-    ASSERT_TRUE(db.SaveSnapshot(dir.path()).ok());
-  }
-  std::string blob = storage::ReadFileToString(SnapPath(dir.path())).ValueOrDie();
-  blob[blob.size() / 2] ^= 0x10;
-  ASSERT_TRUE(storage::WriteFileAtomic(SnapPath(dir.path()), blob).ok());
   OrpheusDB db;
-  Status st = db.Open(dir.path());
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(std::string::npos, st.message().find("checksum")) << st.ToString();
+  CvdOptions options;
+  ASSERT_TRUE(db.InitCvd("t", SampleRows(3), options, "init").ok());
+  const std::string saved = dir.Sub("saved");
+  ASSERT_TRUE(db.SaveSnapshot(saved).ok());
+  const std::string manifest = storage::ReadFileToString(ManifestPath(saved))
+                                   .ValueOrDie();
+  Status again = db.SaveSnapshot(saved);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(StatusCode::kFailedPrecondition, again.code());
+  EXPECT_EQ(manifest, storage::ReadFileToString(ManifestPath(saved)).ValueOrDie());
+
+  const std::string segments_only = dir.Sub("segments_only");
+  ASSERT_TRUE(storage::CreateDirectories(SegmentsDir(segments_only)).ok());
+  ASSERT_TRUE(storage::WriteFileAtomic(
+                  SegmentsDir(segments_only) + "/seg-00000001.orps", "x")
+                  .ok());
+  EXPECT_EQ(StatusCode::kFailedPrecondition,
+            db.SaveSnapshot(segments_only).code());
+
+  const std::string wal_only = dir.Sub("wal_only");
+  {
+    OrpheusDB durable;
+    ASSERT_TRUE(durable.Open(wal_only).ok());
+    ASSERT_TRUE(durable.CreateUser("bob").ok());
+  }
+  EXPECT_EQ(StatusCode::kFailedPrecondition, db.SaveSnapshot(wal_only).code());
+  EXPECT_FALSE(storage::FileExists(ManifestPath(wal_only)));
+
+  // An empty existing directory is fine.
+  const std::string empty = dir.Sub("empty");
+  ASSERT_TRUE(storage::CreateDirectories(empty).ok());
+  EXPECT_TRUE(db.SaveSnapshot(empty).ok());
 }
 
 TEST(Persistence, EmptyDirectoryOpensFresh) {
@@ -723,14 +756,15 @@ TEST(Persistence, CsvStagingNamesSkipReplayedTables) {
     ASSERT_TRUE(db.InitCvd("t", SampleRows(3), options, "init").ok());
     ASSERT_TRUE(db.Checkout("t", {1}, "t_csvstage_0").ok());
   }
-  // Session 2: replay recreates t_csvstage_0; a fresh CLI processor's
+  // Session 2: replay recreates t_csvstage_0; a fresh CLI session's
   // counter restarts at 0 and must skip over it.
-  cli::CommandProcessor processor;
-  ASSERT_TRUE(processor.Execute("open " + dir.path()).ok());
+  core::EngineApi api;
+  auto session = api.NewSession();
+  ASSERT_TRUE(api.Execute(session.get(), "open " + dir.path()).ok());
   std::string csv = dir.Sub("out.csv");
-  auto result = processor.Execute("checkout t -v 1 -f " + csv);
+  auto result = api.Execute(session.get(), "checkout t -v 1 -f " + csv);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(processor.orpheus()->db()->HasTable("t_csvstage_1"));
+  EXPECT_TRUE(api.orpheus()->db()->HasTable("t_csvstage_1"));
 }
 
 // --- The acceptance property: crash at any WAL-record prefix -----------
@@ -788,7 +822,7 @@ TEST(Persistence, CrashAtAnyWalRecordPrefixRecoversExactly) {
   SetExecThreads(1);
 }
 
-// SaveSnapshot into the open durable directory would desync snapshot
+// SaveSnapshot into the open durable directory would desync MANIFEST
 // and WAL; the API must refuse and point at Checkpoint.
 TEST(Persistence, SaveIntoOpenDirectoryIsRejected) {
   TempDir dir;
@@ -938,8 +972,9 @@ struct FaultGuard {
 
 // The 4-record schedule every crash-matrix run replays identically:
 // checkout, commit, checkout, commit against CVD "t" (version 1 is
-// seeded and synced before the batch). With group commit on, all four
-// records stay queued. `refs[k]` = in-memory state after k records.
+// seeded and synced before the batch). On an engine EngineApi owns,
+// all four records stay queued. `refs[k]` = in-memory state after k
+// records.
 void ApplyGroupSchedule(OrpheusDB* db, std::vector<EngineRef>* refs) {
   refs->push_back(Capture(db));
   ASSERT_TRUE(db->Checkout("t", {1}, "a").ok());
@@ -952,11 +987,15 @@ void ApplyGroupSchedule(OrpheusDB* db, std::vector<EngineRef>* refs) {
   refs->push_back(Capture(db));
 }
 
-void SeedForGroupSchedule(OrpheusDB* db) {
+// Opens `dir` on `api`'s engine, seeds CVD "t" and waits out its record.
+void SeedForGroupSchedule(core::EngineApi* api, const std::string& dir) {
+  OrpheusDB* db = api->orpheus();
+  ASSERT_TRUE(db->Open(dir).ok());
   CvdOptions options;
   options.primary_key = {"k"};
   ASSERT_TRUE(db->InitCvd("t", SampleRows(6), options, "init").ok());
-  db->storage()->SetGroupCommit(true);
+  storage::StorageManager* sm = db->storage();
+  ASSERT_TRUE(sm->WaitDurable(sm->TakePendingTickets()).ok());
 }
 
 TEST(Persistence, CommitGroupTornWriteCrashMatrix) {
@@ -968,9 +1007,9 @@ TEST(Persistence, CommitGroupTornWriteCrashMatrix) {
     TempDir ref_dir;
     std::vector<EngineRef> refs;
     {
-      OrpheusDB db;
-      ASSERT_TRUE(db.Open(ref_dir.path()).ok());
-      SeedForGroupSchedule(&db);
+      core::EngineApi api;
+      OrpheusDB& db = *api.orpheus();
+      SeedForGroupSchedule(&api, ref_dir.path());
       ApplyGroupSchedule(&db, &refs);
       ASSERT_TRUE(db.storage()->FlushPending().ok());
     }
@@ -1007,9 +1046,9 @@ TEST(Persistence, CommitGroupTornWriteCrashMatrix) {
           matrix_root.Sub("cut_" + std::to_string(threads) + "_" +
                           std::to_string(cut + 1));
       {
-        OrpheusDB db;
-        ASSERT_TRUE(db.Open(dir).ok());
-        SeedForGroupSchedule(&db);
+        core::EngineApi api;
+        OrpheusDB& db = *api.orpheus();
+        SeedForGroupSchedule(&api, dir);
         std::vector<EngineRef> ignored;
         ApplyGroupSchedule(&db, &ignored);
         FaultGuard guard;
@@ -1020,11 +1059,11 @@ TEST(Persistence, CommitGroupTornWriteCrashMatrix) {
         Status st = db.storage()->FlushPending();
         EXPECT_FALSE(st.ok()) << "cut=" << cut;
         // The poisoned writer refuses to append past the torn tail —
-        // records after the damage would be unreadable. (Group mode
-        // would accept the enqueue and fail the wait; the synchronous
-        // path surfaces the latched error directly.)
-        db.storage()->SetGroupCommit(false);
-        EXPECT_FALSE(db.CreateUser("late").ok()) << "cut=" << cut;
+        // records after the damage would be unreadable. The statement
+        // enqueues its record and its wait surfaces the latched error.
+        auto session = api.NewSession();
+        EXPECT_FALSE(api.Execute(session.get(), "create_user late").ok())
+            << "cut=" << cut;
       }
       // "Crash": the process state is gone, only the torn file remains.
       size_t survivors = 0;
@@ -1051,9 +1090,9 @@ TEST(Persistence, CommitGroupSyncFailurePoisonsWriter) {
   TempDir dir;
   std::vector<EngineRef> refs;
   {
-    OrpheusDB db;
-    ASSERT_TRUE(db.Open(dir.path()).ok());
-    SeedForGroupSchedule(&db);
+    core::EngineApi api;
+    OrpheusDB& db = *api.orpheus();
+    SeedForGroupSchedule(&api, dir.path());
     ApplyGroupSchedule(&db, &refs);
     FaultGuard guard;
     storage::IoFaultPlan plan;
@@ -1062,10 +1101,10 @@ TEST(Persistence, CommitGroupSyncFailurePoisonsWriter) {
     Status st = db.storage()->FlushPending();
     EXPECT_FALSE(st.ok());
     storage::DisarmIoFaults();
-    // A failed sync poisons the writer: neither the synchronous path
-    // nor a checkpoint may run on top of records of unknown durability.
-    db.storage()->SetGroupCommit(false);
-    EXPECT_FALSE(db.CreateUser("late").ok());
+    // A failed sync poisons the writer: neither a later statement nor
+    // a checkpoint may run on top of records of unknown durability.
+    auto session = api.NewSession();
+    EXPECT_FALSE(api.Execute(session.get(), "create_user late").ok());
     EXPECT_FALSE(db.Checkpoint().ok());
   }
   // The write() itself completed before the sync failed, so the frames
@@ -1078,8 +1117,8 @@ TEST(Persistence, CommitGroupSyncFailurePoisonsWriter) {
 
 // --- Segmented checkpoints (storage format v2) --------------------------
 //
-// The v2 layout splits the old monolithic snapshot into one immutable
-// segment file per table plus a CRC-checked MANIFEST whose atomic
+// The storage format is one immutable segment file per table plus a
+// CRC-checked MANIFEST whose atomic
 // replace is the only commit point. These suites pin down the three
 // promises that buys: incrementality (clean tables are never
 // rewritten), crash-atomicity (a kill anywhere inside Checkpoint()
@@ -1404,58 +1443,10 @@ TEST(SegmentedCheckpoint, CorruptionSweepFailsCleanNamingTheFile) {
   }
 }
 
-// A v1 directory (monolithic snapshot.orph, possibly with a WAL tail)
-// opens exactly once in legacy mode, migrates to segments on the
-// spot, and retires the old snapshot. The migrated directory is
-// stable across further reopens.
-TEST(SegmentedCheckpoint, V1SnapshotMigratesToSegmentsOnOpen) {
-  TempDir dir;
-  EngineRef ref;
-  {
-    OrpheusDB db;  // never Open()ed: builds in memory, exports v1
-    CvdOptions options;
-    options.primary_key = {"k"};
-    ASSERT_TRUE(db.InitCvd("t", SampleRows(5), options, "init").ok());
-    ASSERT_TRUE(db.Checkout("t", {1}, "w").ok());
-    ASSERT_EQ(2, db.Commit("t", "w", "v2").ValueOrDie());
-    ASSERT_TRUE(db.CreateUser("alice").ok());
-    ASSERT_TRUE(db.SaveSnapshot(dir.path()).ok());
-    ref = Capture(&db);
-  }
-  // A WAL tail past the snapshot, exactly as a v1 crash leaves it.
-  {
-    auto writer = storage::WalWriter::Open(WalPath(dir.path()), 1).ValueOrDie();
-    storage::BinaryWriter body;
-    body.PutString("bob");
-    ASSERT_TRUE(
-        writer->Append(storage::WalRecordType::kCreateUser, body.data()).ok());
-  }
-  ASSERT_TRUE(storage::FileExists(SnapPath(dir.path())));
-  ASSERT_FALSE(storage::FileExists(ManifestPath(dir.path())));
-  {
-    OrpheusDB db;
-    ASSERT_TRUE(db.Open(dir.path()).ok());
-    ExpectEngineEquals(ref, &db, "migrated");
-    EXPECT_TRUE(storage::FileExists(ManifestPath(dir.path())));
-    EXPECT_FALSE(storage::FileExists(SnapPath(dir.path())));  // retired
-    EXPECT_GE(db.storage()->manifest().segments.size(), 1u);
-    // The migration checkpoint folded the WAL tail.
-    EXPECT_EQ(0, storage::FileSize(WalPath(dir.path())).ValueOrDie());
-    EXPECT_FALSE(db.CreateUser("alice").ok());  // from the snapshot
-    EXPECT_FALSE(db.CreateUser("bob").ok());    // from the WAL tail
-  }
-  {
-    OrpheusDB db;
-    ASSERT_TRUE(db.Open(dir.path()).ok());
-    ExpectEngineEquals(ref, &db, "reopened after migration");
-    EXPECT_FALSE(db.CreateUser("bob").ok());
-  }
-}
-
 // Property test (the concurrency_test oracle idiom): two engines fed
 // an identical randomized schedule of checkouts, staged edits,
-// commits, discards, checkpoints, and crash/reopen rounds must encode
-// bit-identically under the portable v1 codec. Engine A checkpoints
+// commits, discards, checkpoints, and crash/reopen rounds must persist
+// bit-identical table sections and metadata. Engine A checkpoints
 // incrementally, engine B is pinned to full rewrites — so any dirty
 // table the epoch tracking misses shows up as a byte diff here.
 TEST(SegmentedCheckpoint, PropertyIncrementalMatchesFullRewrite) {
@@ -1524,12 +1515,10 @@ TEST(SegmentedCheckpoint, PropertyIncrementalMatchesFullRewrite) {
         b->storage()->set_incremental_checkpoint(false);
       }
       if (round % 10 == 9) {
-        ASSERT_EQ(storage::SnapshotCodec::Encode(*a, 0),
-                  storage::SnapshotCodec::Encode(*b, 0));
+        ASSERT_EQ(PersistedState(*a), PersistedState(*b));
       }
     }
-    EXPECT_EQ(storage::SnapshotCodec::Encode(*a, 0),
-              storage::SnapshotCodec::Encode(*b, 0));
+    EXPECT_EQ(PersistedState(*a), PersistedState(*b));
     EngineRef ref = Capture(a.get());
     ExpectEngineEquals(ref, b.get(), "final A vs B");
   }
