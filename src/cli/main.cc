@@ -39,6 +39,9 @@
 // (default 1000, 0 disables) sets the cadence of the process-stats
 // sampler, which publishes RSS / fd count / CPU gauges into the same
 // registry (engine-hosting modes only).
+//
+// Any other --flag is an error: the process exits with code 2 before
+// touching the engine.
 
 #include <csignal>
 #include <unistd.h>
@@ -213,6 +216,14 @@ int ConnectMain(const orpheus::Flags& flags) {
 
 int main(int argc, char** argv) {
   orpheus::Flags flags(argc, argv);
+  const std::string unknown = flags.FirstUnknown(
+      {"connect", "db", "idle-timeout-sec", "metrics-dump",
+       "procstats-interval-ms", "serve", "slow-op-ms", "threads",
+       "wal-checkpoint-bytes", "wal-checkpoint-records", "workers"});
+  if (!unknown.empty()) {
+    std::cerr << "error: unknown flag --" << unknown << "\n";
+    return 2;
+  }
   if (flags.Has("connect")) return ConnectMain(flags);
 
   // 0 = hardware concurrency (the default); 1 = serial. Clamp before

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string_view>
 
@@ -22,6 +23,13 @@ Flags::Flags(int argc, char** argv) {
       positional_.emplace_back(arg);
     }
   }
+}
+
+std::string Flags::FirstUnknown(const std::vector<std::string>& known) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) return name;
+  }
+  return "";
 }
 
 std::string Flags::GetString(const std::string& name, const std::string& def) const {

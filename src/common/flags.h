@@ -27,6 +27,11 @@ class Flags {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  // The first given flag (in name order) that is not in `known`, or ""
+  // when every flag is known. Callers reject it so a misspelled flag
+  // fails instead of silently meaning its default.
+  std::string FirstUnknown(const std::vector<std::string>& known) const;
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;

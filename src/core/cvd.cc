@@ -46,6 +46,16 @@ std::string IntArrayLiteral(const std::vector<int64_t>& values) {
   return "ARRAY[" + Join(parts, ", ") + "]";
 }
 
+// rid + the data attributes: the layout of a CVD's records.
+rel::Schema RecordSchema(const rel::Schema& data_schema) {
+  rel::Schema schema;
+  schema.AddColumn("rid", rel::DataType::kInt64);
+  for (const rel::ColumnDef& def : data_schema.columns()) {
+    schema.AddColumn(def.name, def.type);
+  }
+  return schema;
+}
+
 // A reference to one row of a chunk that outlives the reference.
 struct RowRef {
   const rel::Chunk* chunk;
@@ -76,8 +86,8 @@ RowKeySet MakeRowKeySet(const std::vector<int>* cols) {
 
 // True if two rows of `chunk` agree on every column in `cols`.
 bool HasDuplicateKey(const rel::Chunk& chunk, const std::vector<int>& cols) {
-  // Sized by the key columns: Commit checks its aligned rows before
-  // their rid column is filled.
+  // Sized by the key columns: the aligned rows a commit checks have an
+  // empty rid column.
   const size_t rows = chunk.column(cols[0]).size();
   RowKeySet seen = MakeRowKeySet(&cols);
   seen.reserve(rows);
@@ -193,30 +203,26 @@ Result<VersionId> Cvd::InitVersion(const rel::Chunk& rows,
     }
   }
 
-  VersionId vid = next_vid_++;
+  // Every row is a new record.
   std::vector<RecordId> rids(rows.num_rows());
   std::iota(rids.begin(), rids.end(), next_rid_);
-  next_rid_ += static_cast<RecordId>(rows.num_rows());
-
-  // Stage rid + data as the model's record schema.
-  rel::Schema record_schema;
-  record_schema.AddColumn("rid", rel::DataType::kInt64);
-  for (const rel::ColumnDef& def : data_schema.columns()) {
-    record_schema.AddColumn(def.name, def.type);
-  }
-  rel::Chunk with_rid(record_schema);
+  rel::Chunk with_rid(RecordSchema(data_schema));
   for (RecordId rid : rids) with_rid.mutable_column(0).AppendInt(rid);
   std::vector<uint32_t> all(rows.num_rows());
   std::iota(all.begin(), all.end(), 0);
   for (int c = 0; c < rows.num_columns(); ++c) {
     with_rid.mutable_column(c + 1).Gather(rows.column(c), all);
   }
+  rel::Chunk new_records = with_rid;  // the stage table consumes with_rid
 
+  // The Table 1 SQL reads the version from a table (`SELECT rid FROM
+  // T'`), so the rows go through a short-lived one. A table that
+  // already has its name is refused, never replaced.
   const std::string stage = name_ + "_init_stage";
-  ORPHEUS_RETURN_NOT_OK(db_->DropTable(stage, /*if_exists=*/true));
-  rel::Chunk for_model = with_rid;  // AddVersion consumes the staged table
   ORPHEUS_RETURN_NOT_OK(db_->AdoptTable(stage, std::move(with_rid)));
-  Status st = model_->AddVersion(vid, stage, rids, for_model, /*primary_parent=*/-1);
+  VersionId vid = next_vid_++;
+  next_rid_ += static_cast<RecordId>(rows.num_rows());
+  Status st = model_->AddVersion(vid, stage, rids, new_records, /*primary_parent=*/-1);
   ORPHEUS_RETURN_NOT_OK(db_->DropTable(stage));
   ORPHEUS_RETURN_NOT_OK(st);
 
@@ -349,36 +355,53 @@ Result<std::vector<int64_t>> Cvd::ReconcileSchema(const rel::Schema& staged_sche
   return attr_ids;
 }
 
+Result<std::vector<rel::Chunk>> Cvd::LoadParentRows(
+    const std::vector<VersionId>& parents) {
+  std::vector<rel::Chunk> parent_rows;
+  parent_rows.reserve(parents.size());
+  for (VersionId parent : parents) {
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, model_->VersionRows(parent));
+    parent_rows.push_back(std::move(rows));
+  }
+  return parent_rows;
+}
+
 Result<VersionId> Cvd::Commit(const std::string& table_name,
-                              const std::string& message) {
+                              const std::string& message,
+                              ResolvedCommit* resolved) {
   auto staged_it = staged_.find(table_name);
   if (staged_it == staged_.end()) {
     return Status::NotFound("table was not checked out from CVD " + name_ + ": " +
                             table_name);
   }
-  const std::vector<VersionId> parents = staged_it->second.parents;
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged_table, db_->GetTable(table_name));
+  ResolvedCommit out;
+  std::vector<rel::Chunk> parent_rows;
+  ORPHEUS_ASSIGN_OR_RETURN(
+      std::vector<int64_t> attr_ids,
+      ResolveCommit(*staged_table, staged_it->second.parents, &out, &parent_rows));
+  ORPHEUS_ASSIGN_OR_RETURN(
+      VersionId vid, ApplyCommit(staged_it, attr_ids, parent_rows, out.rids,
+                                 out.new_records, message));
+  if (resolved != nullptr) *resolved = std::move(out);
+  return vid;
+}
 
+Result<std::vector<int64_t>> Cvd::ResolveCommit(
+    const rel::Table& staged_table, const std::vector<VersionId>& parents,
+    ResolvedCommit* out, std::vector<rel::Chunk>* parent_rows) {
   // --- Schema reconciliation (may ALTER the pool tables) -------------
-  rel::Schema staged_data_schema;
-  for (const rel::ColumnDef& def : staged_table->schema().columns()) {
-    if (def.name != "rid") staged_data_schema.AddColumn(def.name, def.type);
+  for (const rel::ColumnDef& def : staged_table.schema().columns()) {
+    if (def.name != "rid") out->data_schema.AddColumn(def.name, def.type);
   }
-  std::vector<int64_t> attr_ids;
-  {
-    auto r = ReconcileSchema(staged_data_schema);
-    ORPHEUS_RETURN_NOT_OK(r.status());
-    attr_ids = std::move(r).value();
-  }
+  ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> attr_ids,
+                           ReconcileSchema(out->data_schema));
 
   // --- Align staged rows to the (possibly evolved) record schema -----
+  // The rid column stays empty: resolution decides the rids.
   const rel::Schema& data_schema = model_->data_schema();
-  rel::Schema record_schema;
-  record_schema.AddColumn("rid", rel::DataType::kInt64);
-  for (const rel::ColumnDef& def : data_schema.columns()) {
-    record_schema.AddColumn(def.name, def.type);
-  }
-  const rel::Chunk& staged_rows = staged_table->data();
+  const rel::Schema record_schema = RecordSchema(data_schema);
+  const rel::Chunk& staged_rows = staged_table.data();
   size_t n = staged_rows.num_rows();
   rel::Chunk aligned(record_schema);
   std::vector<uint32_t> all(n);
@@ -411,7 +434,7 @@ Result<VersionId> Cvd::Commit(const std::string& table_name,
     }
     if (HasDuplicateKey(aligned, pk_cols)) {
       return Status::ConstraintViolation(
-          "duplicate primary key in committed table " + table_name);
+          "duplicate primary key in committed table " + staged_table.name());
     }
   }
 
@@ -422,72 +445,123 @@ Result<VersionId> Cvd::Commit(const std::string& table_name,
     size_t row;
     RecordId rid;
   };
+  ORPHEUS_ASSIGN_OR_RETURN(*parent_rows, LoadParentRows(parents));
   std::unordered_map<uint64_t, std::vector<ParentRef>> parent_hash;
-  std::vector<rel::Chunk> parent_rows;
-  std::vector<std::unordered_set<RecordId>> parent_rid_sets;
-  parent_rows.reserve(parents.size());
-  for (size_t p = 0; p < parents.size(); ++p) {
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, model_->VersionRows(parents[p]));
-    int rid_col = rows.schema().FindColumn("rid");
-    std::unordered_set<RecordId> rid_set;
+  for (size_t p = 0; p < parent_rows->size(); ++p) {
+    const rel::Chunk& rows = (*parent_rows)[p];
+    const std::vector<int64_t>& parent_rids = rows.column(0).ints();
     for (size_t r = 0; r < rows.num_rows(); ++r) {
-      RecordId rid = rows.column(rid_col).ints()[r];
-      rid_set.insert(rid);
-      parent_hash[HashRecord(rows, r, data_cols)].push_back({p, r, rid});
+      parent_hash[HashRecord(rows, r, data_cols)].push_back({p, r, parent_rids[r]});
     }
-    parent_rid_sets.push_back(std::move(rid_set));
-    parent_rows.push_back(std::move(rows));
   }
 
-  std::vector<RecordId> rids(n);
+  // A row no parent holds becomes a new record; new rids continue the
+  // counter in row order, which is what replay checks.
+  out->rids.resize(n);
   std::vector<uint32_t> new_rows;
   for (size_t r = 0; r < n; ++r) {
-    uint64_t h = HashRecord(aligned, r, data_cols);
     RecordId found = -1;
-    auto hit = parent_hash.find(h);
+    auto hit = parent_hash.find(HashRecord(aligned, r, data_cols));
     if (hit != parent_hash.end()) {
       for (const ParentRef& ref : hit->second) {
-        if (RecordsEqual(aligned, r, data_cols, parent_rows[ref.parent_index],
+        if (RecordsEqual(aligned, r, data_cols, (*parent_rows)[ref.parent_index],
                          ref.row, data_cols)) {
           found = ref.rid;
           break;
         }
       }
     }
-    if (found >= 0) {
-      rids[r] = found;
-    } else {
-      rids[r] = next_rid_++;
+    if (found < 0) {
+      found = next_rid_ + static_cast<RecordId>(new_rows.size());
       new_rows.push_back(static_cast<uint32_t>(r));
     }
+    out->rids[r] = found;
   }
+  out->new_records = rel::Chunk(record_schema);
+  for (uint32_t r : new_rows) {
+    out->new_records.mutable_column(0).AppendInt(out->rids[r]);
+  }
+  for (int c = 1; c < record_schema.num_columns(); ++c) {
+    out->new_records.mutable_column(c).Gather(aligned.column(c), new_rows);
+  }
+  return attr_ids;
+}
 
-  // Write resolved rids back into the staged table so the Table 1
-  // commit SQL — which reads `SELECT rid FROM T'` — sees them.
-  {
-    rel::Chunk& staged_mut = staged_table->mutable_chunk();
-    int rid_col = staged_mut.schema().FindColumn("rid");
-    if (rid_col < 0) {
-      return Status::Internal("staged table lost its rid column");
-    }
-    for (size_t r = 0; r < n; ++r) {
-      staged_mut.mutable_column(rid_col).Set(r, rel::Value::Int(rids[r]));
-    }
+Result<VersionId> Cvd::ReplayCommit(const std::string& table_name,
+                                    const std::string& message,
+                                    const ResolvedCommit& resolved) {
+  auto staged_it = staged_.find(table_name);
+  if (staged_it == staged_.end()) {
+    return Status::NotFound("table was not checked out from CVD " + name_ + ": " +
+                            table_name);
   }
-  // Fill the aligned chunk's (still empty) rid column and slice out
-  // the new records.
-  for (size_t r = 0; r < n; ++r) {
-    aligned.mutable_column(0).AppendInt(rids[r]);
-  }
-  rel::Chunk new_records(record_schema);
-  new_records.GatherFrom(aligned, new_rows);
+  ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> attr_ids,
+                           ReconcileSchema(resolved.data_schema));
+  ORPHEUS_ASSIGN_OR_RETURN(std::vector<rel::Chunk> parent_rows,
+                           LoadParentRows(staged_it->second.parents));
+  return ApplyCommit(staged_it, attr_ids, parent_rows, resolved.rids,
+                     resolved.new_records, message);
+}
 
-  // --- Edge weights and primary parent --------------------------------
-  std::vector<int64_t> weights(parents.size(), 0);
+Result<VersionId> Cvd::ApplyCommit(
+    std::map<std::string, StagedTableInfo>::iterator staged_it,
+    const std::vector<int64_t>& attr_ids,
+    const std::vector<rel::Chunk>& parent_rows,
+    const std::vector<RecordId>& rids, const rel::Chunk& new_records,
+    const std::string& message) {
+  const std::vector<VersionId>& parents = staged_it->second.parents;
+  const rel::Schema record_schema = RecordSchema(model_->data_schema());
+  if (!new_records.schema().Equals(record_schema)) {
+    return Status::Internal("new records " + new_records.schema().ToString() +
+                            " do not match the record schema " +
+                            record_schema.ToString());
+  }
+  std::vector<std::unordered_map<RecordId, uint32_t>> parent_index(parents.size());
   for (size_t p = 0; p < parents.size(); ++p) {
-    for (RecordId rid : rids) {
-      if (parent_rid_sets[p].count(rid) > 0) ++weights[p];
+    const std::vector<int64_t>& parent_rids = parent_rows[p].column(0).ints();
+    parent_index[p].reserve(parent_rids.size());
+    for (size_t r = 0; r < parent_rids.size(); ++r) {
+      parent_index[p].emplace(parent_rids[r], static_cast<uint32_t>(r));
     }
+  }
+
+  // --- Where each row comes from, and the edge weights ----------------
+  // Source `parents.size()` is new_records. A rid several parents hold
+  // is taken from the first of them.
+  const uint32_t from_new = static_cast<uint32_t>(parents.size());
+  const std::vector<int64_t>& new_rids = new_records.column(0).ints();
+  std::vector<uint32_t> source(rids.size());
+  std::vector<uint32_t> source_row(rids.size());
+  std::vector<int64_t> weights(parents.size(), 0);
+  size_t next_new = 0;
+  for (size_t i = 0; i < rids.size(); ++i) {
+    source[i] = from_new;
+    for (size_t p = 0; p < parents.size(); ++p) {
+      auto hit = parent_index[p].find(rids[i]);
+      if (hit == parent_index[p].end()) continue;
+      ++weights[p];
+      if (source[i] == from_new) {
+        source[i] = static_cast<uint32_t>(p);
+        source_row[i] = hit->second;
+      }
+    }
+    if (source[i] != from_new) continue;
+    if (next_new >= new_rids.size() || new_rids[next_new] != rids[i]) {
+      return Status::Internal("rid " + std::to_string(rids[i]) + " of row " +
+                              std::to_string(i) +
+                              " is held by no parent and is not the next new record");
+    }
+    const RecordId expected = next_rid_ + static_cast<RecordId>(next_new);
+    if (rids[i] != expected) {
+      return Status::Internal("new record rid " + std::to_string(rids[i]) +
+                              " is out of sequence (expected " +
+                              std::to_string(expected) + ")");
+    }
+    source_row[i] = static_cast<uint32_t>(next_new++);
+  }
+  if (next_new != new_rids.size()) {
+    return Status::Internal(std::to_string(new_rids.size() - next_new) +
+                            " new records are not rows of the version");
   }
   VersionId primary_parent = -1;
   if (!parents.empty()) {
@@ -498,19 +572,35 @@ Result<VersionId> Cvd::Commit(const std::string& table_name,
     primary_parent = parents[best];
   }
 
+  // --- Rebuild the rows, one gather per run from one source ------------
+  // They replace the staged table's content, which is resolved by now
+  // and is released first.
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged, db_->GetTable(staged_it->first));
+  staged->mutable_chunk() = rel::Chunk();
+  rel::Chunk rows(record_schema);
+  std::vector<uint32_t> run;
+  for (size_t i = 0; i < rids.size();) {
+    const uint32_t s = source[i];
+    run.clear();
+    for (; i < rids.size() && source[i] == s; ++i) run.push_back(source_row[i]);
+    rows.GatherFrom(s == from_new ? new_records : parent_rows[s], run);
+  }
+
   // --- Persist ----------------------------------------------------------
   VersionId vid = next_vid_++;
+  next_rid_ += static_cast<RecordId>(new_rids.size());
+  staged->mutable_chunk() = std::move(rows);
   ORPHEUS_RETURN_NOT_OK(
-      model_->AddVersion(vid, table_name, rids, new_records, primary_parent));
-  ORPHEUS_RETURN_NOT_OK(
-      graph_.AddVersion(vid, parents, weights, static_cast<int64_t>(n)));
+      model_->AddVersion(vid, staged_it->first, rids, new_records, primary_parent));
+  ORPHEUS_RETURN_NOT_OK(graph_.AddVersion(vid, parents, weights,
+                                          static_cast<int64_t>(rids.size())));
   version_attrs_[vid] = attr_ids;
   ORPHEUS_RETURN_NOT_OK(AppendMetadataRow(vid, parents,
                                           staged_it->second.checkout_time,
                                           ++logical_clock_, message, attr_ids));
 
   // Commit removes the table from the staging area (§2.3).
-  ORPHEUS_RETURN_NOT_OK(db_->DropTable(table_name));
+  ORPHEUS_RETURN_NOT_OK(db_->DropTable(staged_it->first));
   staged_.erase(staged_it);
   return vid;
 }

@@ -61,6 +61,20 @@ struct StagedTableInfo {
   int64_t checkout_time = 0;
 };
 
+// What record resolution decided for one commit: enough to redo the
+// commit on top of its parents without resolving again. This is the
+// commit's WAL record (storage_manager.h).
+struct ResolvedCommit {
+  // The staged table's data attributes in staged order: the input of
+  // schema reconciliation.
+  rel::Schema data_schema;
+  // The new version's records, one per staged row, in row order.
+  std::vector<RecordId> rids;
+  // The records the commit created (rid + CVD data attributes), in row
+  // order; their rids continue the CVD's rid counter.
+  rel::Chunk new_records;
+};
+
 class Cvd {
  public:
   // Creates a new, empty CVD with the given data-attribute schema.
@@ -82,8 +96,19 @@ class Cvd {
   Status Checkout(const std::vector<VersionId>& vids, const std::string& table_name);
 
   // Commits a staged table as a new version; parents come from the
-  // table's checkout provenance. Returns the new vid.
-  Result<VersionId> Commit(const std::string& table_name, const std::string& message);
+  // table's checkout provenance. Returns the new vid. `resolved`, if
+  // given, receives what record resolution decided.
+  Result<VersionId> Commit(const std::string& table_name, const std::string& message,
+                           ResolvedCommit* resolved = nullptr);
+
+  // Redoes a logged commit of staged table `table_name` (WAL replay)
+  // with no record resolution: reconciles `resolved.data_schema`,
+  // rebuilds the version's rows from the parents' records and the
+  // logged new records, and applies them the way Commit does. Fails
+  // unless every rid is held by a parent or is the next new record.
+  Result<VersionId> ReplayCommit(const std::string& table_name,
+                                 const std::string& message,
+                                 const ResolvedCommit& resolved);
 
   // Records in `a` but not in `b`.
   Result<rel::Chunk> Diff(VersionId a, VersionId b);
@@ -138,6 +163,30 @@ class Cvd {
   // Applies schema differences between a staged table and the CVD
   // (new / widened attributes), returning this version's attribute ids.
   Result<std::vector<int64_t>> ReconcileSchema(const rel::Schema& staged_schema);
+
+  // The resolve half of Commit: reconciles the staged table's schema,
+  // aligns its rows to the record schema, checks the primary key and
+  // maps every row to a parent's record or a new one. Fills `out` and
+  // the parents' rows; returns the version's attribute ids.
+  Result<std::vector<int64_t>> ResolveCommit(const rel::Table& staged_table,
+                                             const std::vector<VersionId>& parents,
+                                             ResolvedCommit* out,
+                                             std::vector<rel::Chunk>* parent_rows);
+
+  // The rows of every parent version (rid + data attributes).
+  Result<std::vector<rel::Chunk>> LoadParentRows(
+      const std::vector<VersionId>& parents);
+
+  // The apply half of a commit, shared by Commit and ReplayCommit:
+  // rebuilds the version's rows from `parent_rows` (by rid) and
+  // `new_records` into the staged table, registers the version with the
+  // model, the graph and the metadata table, and drops the staged table.
+  Result<VersionId> ApplyCommit(
+      std::map<std::string, StagedTableInfo>::iterator staged_it,
+      const std::vector<int64_t>& attr_ids,
+      const std::vector<rel::Chunk>& parent_rows,
+      const std::vector<RecordId>& rids, const rel::Chunk& new_records,
+      const std::string& message);
 
   // Registers an attribute entry and returns its id.
   int64_t AddAttributeEntry(const std::string& name, rel::DataType type);

@@ -61,9 +61,9 @@ class DataModel {
   virtual Status Init() = 0;
 
   // Registers version `vid` whose full record set is `rids`.
-  // `staged_table` is the materialized table being committed; its rid
-  // column has already been resolved by the record manager and matches
-  // `rids` row-for-row. `new_records` contains exactly the records not
+  // `staged_table` holds the version's rows in this model's record
+  // schema (rid + data attributes); its rid column matches `rids`
+  // row-for-row. `new_records` contains exactly the records not
   // previously in the CVD (schema: rid + data attributes).
   // `primary_parent` is the parent sharing the most records (-1 for
   // the initial version); only the delta model depends on it.

@@ -1,5 +1,6 @@
 #include "core/orpheus.h"
 
+#include <set>
 #include <utility>
 
 #include "core/data_model.h"
@@ -41,10 +42,21 @@ Result<Cvd*> OrpheusDB::InitCvd(const std::string& name, const rel::Chunk& rows,
   if (cvds_.count(name) > 0) {
     return Status::AlreadyExists("CVD already exists: " + name);
   }
-  ORPHEUS_ASSIGN_OR_RETURN(auto cvd,
-                           Cvd::Create(&db_, name, rows.schema(), options));
-  ORPHEUS_ASSIGN_OR_RETURN(VersionId v1, cvd->InitVersion(rows, message));
-  (void)v1;
+  // A failed init leaves none of the tables it made behind: it is not
+  // logged, so a reopened engine would not have them.
+  const std::vector<std::string> before = db_.ListTables();
+  auto drop_new_tables = [this, &before](const Status& st) {
+    std::set<std::string> had(before.begin(), before.end());
+    for (const std::string& table : db_.ListTables()) {
+      if (had.count(table) == 0) (void)db_.DropTable(table);
+    }
+    return st;
+  };
+  auto created = Cvd::Create(&db_, name, rows.schema(), options);
+  if (!created.ok()) return drop_new_tables(created.status());
+  std::unique_ptr<Cvd> cvd = std::move(created).value();
+  Result<VersionId> v1 = cvd->InitVersion(rows, message);
+  if (!v1.ok()) return drop_new_tables(v1.status());
   Cvd* raw = cvd.get();
   cvds_[name] = std::move(cvd);
   if (storage_ != nullptr) {
@@ -100,19 +112,15 @@ Result<VersionId> OrpheusDB::Commit(const std::string& cvd_name,
                                     const std::string& table_name,
                                     const std::string& message) {
   ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, GetCvd(cvd_name));
-  // Encode the WAL record before committing: Commit resolves rids in
-  // place and then drops the table, and replay needs the rows as the
-  // user committed them (they may differ from the checkout).
-  std::string commit_body;
-  if (storage_ != nullptr) {
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged, db_.GetTable(table_name));
-    commit_body = storage::StorageManager::EncodeCommitBody(
-        cvd_name, table_name, message, staged->data());
-  }
-  ORPHEUS_ASSIGN_OR_RETURN(VersionId vid, cvd->Commit(table_name, message));
-  if (storage_ != nullptr) {
-    ORPHEUS_RETURN_NOT_OK(storage_->AppendCommitBody(std::move(commit_body)));
-  }
+  if (storage_ == nullptr) return cvd->Commit(table_name, message);
+  // The log carries what resolution decided — the version's rids and
+  // its new records — not the staged table: replay rebuilds the rest
+  // from the parents.
+  ResolvedCommit resolved;
+  ORPHEUS_ASSIGN_OR_RETURN(VersionId vid,
+                           cvd->Commit(table_name, message, &resolved));
+  ORPHEUS_RETURN_NOT_OK(
+      storage_->LogCommit(cvd_name, table_name, message, resolved));
   return vid;
 }
 

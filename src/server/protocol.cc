@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -13,6 +14,8 @@
 namespace orpheus::server {
 
 namespace {
+
+constexpr size_t kFrameReadStepBytes = 64u << 10;
 
 Status Errno(const std::string& what) {
   return Status::Unavailable(what + ": " + std::strerror(errno));
@@ -84,9 +87,15 @@ Result<std::string> ReadFrame(int fd) {
     return Status::InvalidArgument("oversized frame (" + std::to_string(len) +
                                    " bytes); not an orpheus peer?");
   }
-  std::string payload(len, '\0');
-  if (len > 0) {
-    ORPHEUS_RETURN_NOT_OK(ReadAll(fd, payload.data(), len, &eof));
+  // The buffer grows as bytes arrive, at most kFrameReadStepBytes ahead
+  // of them: a header claiming 64 MiB costs nothing until the peer
+  // actually sends that much.
+  std::string payload;
+  while (payload.size() < len) {
+    const size_t got = payload.size();
+    const size_t step = std::min<size_t>(len - got, kFrameReadStepBytes);
+    payload.resize(got + step);
+    ORPHEUS_RETURN_NOT_OK(ReadAll(fd, payload.data() + got, step, &eof));
     if (eof) return Status::Unavailable("connection closed mid-frame");
   }
   return payload;

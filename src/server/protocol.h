@@ -41,7 +41,8 @@ inline constexpr char kHelloPrefix[] = "ORPHEUS/1";
 Status WriteFrame(int fd, std::string_view payload);
 
 // Reads one frame (blocking). Status::Unavailable with message
-// "connection closed" on clean EOF at a frame boundary.
+// "connection closed" on clean EOF at a frame boundary. Memory grows
+// with the bytes received, not with the length the header claims.
 Result<std::string> ReadFrame(int fd);
 
 // --- Response payload ----------------------------------------------------

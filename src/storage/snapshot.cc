@@ -261,6 +261,9 @@ Result<rel::Chunk> DecodeChunk(BinaryReader* r) {
     uint8_t has_bitmap = r->GetU8();
     std::string bits;
     if (has_bitmap != 0) {
+      if (num_rows > static_cast<uint64_t>(r->remaining()) * 8) {
+        return Status::Internal("chunk decode: truncated null bitmap");
+      }
       bits.resize((num_rows + 7) / 8);
       r->GetRaw(bits.data(), bits.size());
     }

@@ -490,20 +490,18 @@ Status StorageManager::LogCheckout(const std::string& cvd_name,
   return AppendChecked(WalRecordType::kCheckout, body.Release());
 }
 
-std::string StorageManager::EncodeCommitBody(const std::string& cvd_name,
-                                             const std::string& table_name,
-                                             const std::string& message,
-                                             const rel::Chunk& staged_rows) {
+Status StorageManager::LogCommit(const std::string& cvd_name,
+                                 const std::string& table_name,
+                                 const std::string& message,
+                                 const core::ResolvedCommit& resolved) {
   BinaryWriter body;
   body.PutString(cvd_name);
   body.PutString(table_name);
   body.PutString(message);
-  EncodeChunk(staged_rows, &body);
-  return body.Release();
-}
-
-Status StorageManager::AppendCommitBody(std::string body) {
-  return AppendChecked(WalRecordType::kCommit, std::move(body));
+  EncodeSchema(resolved.data_schema, &body);
+  EncodeI64Vec(resolved.rids, &body);
+  EncodeChunk(resolved.new_records, &body);
+  return AppendChecked(WalRecordType::kCommit, body.Release());
 }
 
 Status StorageManager::LogDiscardStaged(const std::string& cvd_name,
@@ -574,17 +572,13 @@ Status StorageManager::ApplyRecord(const WalRecord& record) {
       std::string cvd_name = r.GetString();
       std::string table = r.GetString();
       std::string message = r.GetString();
-      ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk staged_rows, DecodeChunk(&r));
+      core::ResolvedCommit resolved;
+      ORPHEUS_ASSIGN_OR_RETURN(resolved.data_schema, DecodeSchema(&r));
+      ORPHEUS_ASSIGN_OR_RETURN(resolved.rids, DecodeI64Vec(&r));
+      ORPHEUS_ASSIGN_OR_RETURN(resolved.new_records, DecodeChunk(&r));
       ORPHEUS_RETURN_NOT_OK(r.status());
-      // The log carries the staged content as of commit time (the user
-      // may have edited the checkout); overwrite before committing.
-      ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged,
-                               db_->db()->GetTable(table));
-      staged->mutable_chunk() = std::move(staged_rows);
-      ORPHEUS_ASSIGN_OR_RETURN(VersionId vid,
-                               db_->Commit(cvd_name, table, message));
-      (void)vid;
-      return Status::OK();
+      ORPHEUS_ASSIGN_OR_RETURN(core::Cvd * cvd, db_->GetCvd(cvd_name));
+      return cvd->ReplayCommit(table, message, resolved).status();
     }
     case WalRecordType::kDiscardStaged: {
       std::string cvd_name = r.GetString();
@@ -630,7 +624,7 @@ Status StorageManager::ApplyRecord(const WalRecord& record) {
       return db_->AttachPartitionStore(cvd_name, std::move(store));
     }
   }
-  return Status::Internal("unknown WAL record type " +
+  return Status::Internal("unknown or retired WAL record type " +
                           std::to_string(static_cast<int>(record.type)));
 }
 

@@ -29,8 +29,10 @@
 // verb succeeds in memory. Every appender enqueues its record on the
 // commit-group queue (see the group-commit section below); who waits
 // for it depends on who owns the engine. Replay applies records
-// through the same OrpheusDB verbs — logging is disarmed during
-// recovery because the manager is not yet attached to the engine.
+// through the same OrpheusDB verbs, and a commit through the apply
+// half of the live commit (Cvd::ReplayCommit) — logging is disarmed
+// during recovery because the manager is not yet attached to the
+// engine.
 
 #ifndef ORPHEUS_STORAGE_STORAGE_MANAGER_H_
 #define ORPHEUS_STORAGE_STORAGE_MANAGER_H_
@@ -178,14 +180,11 @@ class StorageManager {
   Status LogCheckout(const std::string& cvd_name,
                      const std::vector<core::VersionId>& vids,
                      const std::string& table_name);
-  // Commit is logged in two steps so the record body can be encoded
-  // straight out of the staged table *before* Commit resolves rids in
-  // place and drops it — no intermediate chunk copy.
-  static std::string EncodeCommitBody(const std::string& cvd_name,
-                                      const std::string& table_name,
-                                      const std::string& message,
-                                      const rel::Chunk& staged_rows);
-  Status AppendCommitBody(std::string body);
+  // Logs what the commit's record resolution decided (core/cvd.h):
+  // the version's rids and its new records, not the staged table.
+  Status LogCommit(const std::string& cvd_name, const std::string& table_name,
+                   const std::string& message,
+                   const core::ResolvedCommit& resolved);
   Status LogDiscardStaged(const std::string& cvd_name,
                           const std::string& table_name);
   Status LogDropCvd(const std::string& cvd_name);

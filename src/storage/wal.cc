@@ -63,8 +63,7 @@ std::vector<WalRecord> ParseWal(std::string_view data, uint64_t after_lsn,
     WalRecord record;
     record.lsn = reader.GetU64();
     record.type = static_cast<WalRecordType>(reader.GetU8());
-    record.payload.assign(payload.data() + kPayloadHeaderBytes,
-                          length - kPayloadHeaderBytes);
+    record.payload = payload.substr(kPayloadHeaderBytes);
     pos += kFrameHeaderBytes + length;
     if (record.lsn > after_lsn) records.push_back(std::move(record));
   }

@@ -37,22 +37,28 @@ enum class WalRecordType : uint8_t {
   kLogin = 2,
   kInitCvd = 3,
   kCheckout = 4,      // checkout / merging checkout (stages a table)
-  kCommit = 5,        // carries the full staged chunk: self-contained
+  // 5 is retired: it carried the whole staged table of a commit. A log
+  // holding one fails replay, naming its lsn and type.
   kDiscardStaged = 6,
   kDropCvd = 7,
   kRepartition = 8,   // partition-store (re)build from `optimize`
+  kCommit = 9,        // what record resolution decided: the version's
+                      // rids in row order plus its new records
 };
 
 struct WalRecord {
   uint64_t lsn = 0;
   WalRecordType type = WalRecordType::kCreateUser;
-  std::string payload;  // type-specific body (lsn/type already parsed)
+  // Type-specific body (lsn/type already parsed); a view into the
+  // buffer ParseWal read, valid while that buffer lives.
+  std::string_view payload;
 };
 
 // Parses a WAL byte buffer. Returns every well-formed record with
-// lsn > `after_lsn`, in file order. `*valid_bytes` receives the length
-// of the well-formed prefix — anything past it is a torn or corrupt
-// tail that the caller should truncate away.
+// lsn > `after_lsn`, in file order; payloads point into `data`, which
+// is not copied. `*valid_bytes` receives the length of the well-formed
+// prefix — anything past it is a torn or corrupt tail that the caller
+// should truncate away.
 std::vector<WalRecord> ParseWal(std::string_view data, uint64_t after_lsn,
                                 size_t* valid_bytes);
 

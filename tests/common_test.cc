@@ -160,6 +160,16 @@ TEST(FlagsTest, PositionalAndBoolFalse) {
   EXPECT_FALSE(flags.GetBool("flag", true));
 }
 
+TEST(FlagsTest, FirstUnknownNamesTheStrayFlag) {
+  const char* argv[] = {"prog", "--db=/tmp/x", "--dbb=/tmp/y", "-c", "ls"};
+  Flags flags(5, const_cast<char**>(argv));
+  EXPECT_EQ("dbb", flags.FirstUnknown({"db", "threads"}));
+  EXPECT_EQ("", flags.FirstUnknown({"db", "dbb"}));
+  // Positional arguments, "-c" included, are never flags.
+  ASSERT_EQ(2u, flags.positional().size());
+  EXPECT_EQ("", Flags(1, const_cast<char**>(argv)).FirstUnknown({}));
+}
+
 // --- ThreadPool --------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {

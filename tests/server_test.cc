@@ -4,6 +4,8 @@
 // and graceful shutdown. Everything binds to an ephemeral loopback
 // port, so tests can run in parallel.
 
+#include <sys/socket.h>
+
 #include <chrono>
 #include <string>
 #include <thread>
@@ -86,6 +88,44 @@ TEST(Protocol, ParseHostPort) {
   EXPECT_FALSE(server::ParseHostPort("host:").ok());
   EXPECT_FALSE(server::ParseHostPort("").ok());
   EXPECT_FALSE(server::ParseHostPort("host:99999").ok());
+}
+
+// A header claiming the largest legal frame, ten payload bytes, then
+// the sender's end closes.
+void SendHugeHeaderThenClose(int fd) {
+  const uint32_t len = server::kMaxFrameBytes;
+  std::string bytes(reinterpret_cast<const char*>(&len), sizeof(len));
+  bytes += "0123456789";
+  ASSERT_EQ(static_cast<ssize_t>(bytes.size()),
+            ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL));
+  ::shutdown(fd, SHUT_WR);
+}
+
+TEST(Protocol, TruncatedHugeFrameIsUnavailable) {
+  int fds[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds));
+  SendHugeHeaderThenClose(fds[1]);
+  Result<std::string> frame = server::ReadFrame(fds[0]);
+  EXPECT_EQ(StatusCode::kUnavailable, frame.status().code())
+      << frame.status().ToString();
+  server::CloseFd(fds[0]);
+  server::CloseFd(fds[1]);
+}
+
+TEST(ServerTest, TruncatedHugeFrameLeavesServerUsable) {
+  EngineApi api;
+  Server server(&api, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  int fd = server::ConnectTcp("127.0.0.1", server.port()).ValueOrDie();
+  ASSERT_TRUE(server::ReadFrame(fd).ok());  // hello
+  SendHugeHeaderThenClose(fd);
+  AwaitActiveSessions(&server, 0);
+  server::CloseFd(fd);
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  EXPECT_EQ("(no CVDs)", MustExecute(&client, "ls"));
+  server.Stop();
 }
 
 TEST(ServerTest, HelloAndBasicCommands) {
