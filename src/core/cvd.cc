@@ -56,6 +56,23 @@ rel::Schema RecordSchema(const rel::Schema& data_schema) {
   return schema;
 }
 
+// The data schema ReconcileSchema leaves behind for `staged`, computed
+// without altering anything: live attributes widened to the staged
+// types, new attributes appended in staged order.
+rel::Schema EvolvedSchema(const rel::Schema& data_schema, const rel::Schema& staged) {
+  std::vector<rel::ColumnDef> columns = data_schema.columns();
+  for (const rel::ColumnDef& def : staged.columns()) {
+    auto it = std::find_if(columns.begin(), columns.end(),
+                           [&](const rel::ColumnDef& c) { return c.name == def.name; });
+    if (it == columns.end()) {
+      columns.push_back(def);
+    } else {
+      it->type = WidenType(it->type, def.type);
+    }
+  }
+  return rel::Schema(std::move(columns));
+}
+
 // A reference to one row of a chunk that outlives the reference.
 struct RowRef {
   const rel::Chunk* chunk;
@@ -390,16 +407,15 @@ Result<VersionId> Cvd::Commit(const std::string& table_name,
 Result<std::vector<int64_t>> Cvd::ResolveCommit(
     const rel::Table& staged_table, const std::vector<VersionId>& parents,
     ResolvedCommit* out, std::vector<rel::Chunk>* parent_rows) {
-  // --- Schema reconciliation (may ALTER the pool tables) -------------
+  // --- Align staged rows to the evolved record schema ----------------
+  // Nothing is ALTERed until the primary-key check passes, so a
+  // rejected commit leaves the CVD as it was. The rid column stays
+  // empty: resolution decides the rids.
   for (const rel::ColumnDef& def : staged_table.schema().columns()) {
     if (def.name != "rid") out->data_schema.AddColumn(def.name, def.type);
   }
-  ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> attr_ids,
-                           ReconcileSchema(out->data_schema));
-
-  // --- Align staged rows to the (possibly evolved) record schema -----
-  // The rid column stays empty: resolution decides the rids.
-  const rel::Schema& data_schema = model_->data_schema();
+  const rel::Schema data_schema =
+      EvolvedSchema(model_->data_schema(), out->data_schema);
   const rel::Schema record_schema = RecordSchema(data_schema);
   const rel::Chunk& staged_rows = staged_table.data();
   size_t n = staged_rows.num_rows();
@@ -436,6 +452,15 @@ Result<std::vector<int64_t>> Cvd::ResolveCommit(
       return Status::ConstraintViolation(
           "duplicate primary key in committed table " + staged_table.name());
     }
+  }
+
+  // --- Schema reconciliation (may ALTER the pool tables) -------------
+  ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> attr_ids,
+                           ReconcileSchema(out->data_schema));
+  if (!model_->data_schema().Equals(data_schema)) {
+    return Status::Internal("reconciled schema " + model_->data_schema().ToString() +
+                            " differs from the aligned schema " +
+                            data_schema.ToString());
   }
 
   // --- Record resolution (the no-cross-version-diff rule) -----------

@@ -119,6 +119,58 @@ int64_t ChunkPages(const Chunk& chunk) {
   return chunk.ByteSize() / 8192 + 1;
 }
 
+// Marks every column of `schema` that `ref` can resolve to under
+// Schema::Resolve: its exact match or, for an unqualified ref, every
+// "<alias>.ref". An ambiguous ref keeps all of its candidates, so
+// binding still reports it.
+void MarkRef(const Schema& schema, const std::string& ref, std::vector<bool>* keep) {
+  const int exact = schema.FindColumn(ref);
+  if (exact >= 0) {
+    (*keep)[static_cast<size_t>(exact)] = true;
+    return;
+  }
+  if (ref.find('.') != std::string::npos) return;
+  const std::string suffix = "." + ref;
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    const std::string& name = schema.column(c).name;
+    if (name.size() > suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      (*keep)[static_cast<size_t>(c)] = true;
+    }
+  }
+}
+
+// True if a `qualifier.*` item ("" for a bare `*`) expands to `name`.
+bool StarCovers(const std::string& qualifier, const std::string& name) {
+  return qualifier.empty() || name.rfind(qualifier + ".", 0) == 0;
+}
+
+bool IsIdentity(const std::vector<uint32_t>& sel, size_t rows) {
+  if (sel.size() != rows) return false;
+  for (size_t i = 0; i < rows; ++i) {
+    if (sel[i] != i) return false;
+  }
+  return true;
+}
+
+// Matches `col = <INT literal>` in either operand order.
+bool IntEquality(const Expr& conjunct, const Expr** column, int64_t* key) {
+  if (conjunct.kind != ExprKind::kBinary || conjunct.bin_op != BinOp::kEq) {
+    return false;
+  }
+  for (int side = 0; side < 2; ++side) {
+    const Expr& col = *conjunct.args[static_cast<size_t>(side)];
+    const Expr& lit = *conjunct.args[static_cast<size_t>(1 - side)];
+    if (col.kind == ExprKind::kColumnRef && lit.kind == ExprKind::kLiteral &&
+        lit.literal.type() == DataType::kInt64) {
+      *column = &col;
+      *key = lit.literal.AsInt();
+      return true;
+    }
+  }
+  return false;
+}
+
 // One probe batch's join output: parallel (left,right) row-id vectors.
 struct MatchList {
   std::vector<uint32_t> l;
@@ -206,10 +258,58 @@ Status BatchedProbe(size_t total, bool serial, const ProbeFn& probe,
 
 }  // namespace
 
-Result<Executor::Input> Executor::ResolveTableRef(const TableRef& ref) {
+Executor::ReadSet Executor::StatementReads(
+    const SelectStmt& select, const std::unordered_set<std::string>* reads) {
+  ReadSet out;
+  for (const SelectItem& item : select.items) {
+    if (item.expr->kind == ExprKind::kStar) {
+      out.stars.push_back(item.expr->column);
+    } else {
+      CollectColumnRefs(*item.expr, &out.refs);
+    }
+  }
+  for (const ExprPtr& g : select.group_by) CollectColumnRefs(*g, &out.refs);
+  if (select.having != nullptr) CollectColumnRefs(*select.having, &out.refs);
+  for (const OrderItem& item : select.order_by) CollectColumnRefs(*item.expr, &out.refs);
+  out.star_reads = select.distinct ? nullptr : reads;
+  return out;
+}
+
+std::vector<int> Executor::KeptColumns(const ReadSet& reads,
+                                       const std::vector<const Expr*>& conjuncts,
+                                       const Schema& schema) {
+  const int n = schema.num_columns();
+  std::vector<bool> keep(static_cast<size_t>(n), false);
+  std::vector<const Expr*> refs = reads.refs;
+  for (const Expr* conjunct : conjuncts) CollectColumnRefs(*conjunct, &refs);
+  for (const Expr* ref : refs) MarkRef(schema, ref->column, &keep);
+  int star_first = -1;
+  bool star_kept = false;
+  for (int c = 0; c < n; ++c) {
+    const std::string& name = schema.column(c).name;
+    for (const std::string& qualifier : reads.stars) {
+      if (!StarCovers(qualifier, name)) continue;
+      if (star_first < 0) star_first = c;
+      if (reads.star_reads == nullptr || reads.star_reads->count(BaseName(name)) > 0) {
+        keep[static_cast<size_t>(c)] = true;
+      }
+      star_kept = star_kept || keep[static_cast<size_t>(c)];
+    }
+  }
+  if (!star_kept && star_first >= 0) keep[static_cast<size_t>(star_first)] = true;
+  std::vector<int> kept;
+  for (int c = 0; c < n; ++c) {
+    if (keep[static_cast<size_t>(c)]) kept.push_back(c);
+  }
+  if (kept.empty() && n > 0) kept.push_back(0);
+  return kept;
+}
+
+Result<Executor::Input> Executor::ResolveTableRef(
+    const TableRef& ref, const std::unordered_set<std::string>* reads) {
   Input input;
   if (ref.subquery != nullptr) {
-    ORPHEUS_ASSIGN_OR_RETURN(Chunk sub, RunSelect(*ref.subquery));
+    ORPHEUS_ASSIGN_OR_RETURN(Chunk sub, RunSelect(*ref.subquery, reads));
     input.owned = std::make_unique<Chunk>(std::move(sub));
     input.data = input.owned.get();
     input.schema = input.data->schema().Qualified(ref.alias);
@@ -227,17 +327,15 @@ Result<Executor::Input> Executor::ResolveTableRef(const TableRef& ref) {
 Status Executor::FilterSelection(const Evaluator& eval,
                                  const std::vector<const Expr*>& conjuncts,
                                  const Chunk& data,
+                                 const std::vector<uint32_t>* rows,
                                  std::vector<uint32_t>* sel) {
-  const size_t n = data.num_rows();
+  const size_t n = rows != nullptr ? rows->size() : data.num_rows();
   const size_t nb = NumScanBatches(n);
-  obs::ProfileOpScope op_scope("filter");
-  op_scope.AddRowsIn(n);
-  op_scope.AddBatches(nb);
   BatchCounter()->Inc(nb);
-  const size_t sel_before = sel->size();
   auto filter_range = [&](size_t begin, size_t end,
                           std::vector<uint32_t>* out) -> Status {
-    for (size_t row = begin; row < end; ++row) {
+    for (size_t i = begin; i < end; ++i) {
+      const size_t row = rows != nullptr ? (*rows)[i] : i;
       bool pass = true;
       for (const Expr* conjunct : conjuncts) {
         ORPHEUS_ASSIGN_OR_RETURN(bool ok, eval.EvalPredicate(*conjunct, data, row));
@@ -252,9 +350,7 @@ Status Executor::FilterSelection(const Evaluator& eval,
   };
   if (nb <= 1) {
     // Single batch: run inline, no scheduling.
-    ORPHEUS_RETURN_NOT_OK(filter_range(0, n, sel));
-    op_scope.AddRowsOut(sel->size() - sel_before);
-    return Status::OK();
+    return filter_range(0, n, sel);
   }
   std::vector<std::vector<uint32_t>> parts(nb);
   ORPHEUS_RETURN_NOT_OK(ParallelBatchFor(
@@ -266,6 +362,68 @@ Status Executor::FilterSelection(const Evaluator& eval,
   sel->reserve(total);
   for (const std::vector<uint32_t>& part : parts) {
     sel->insert(sel->end(), part.begin(), part.end());
+  }
+  return Status::OK();
+}
+
+Status Executor::SelectRows(const Evaluator& eval,
+                            std::vector<const Expr*> conjuncts,
+                            const Input& input, std::vector<uint32_t>* sel) {
+  const Chunk& data = *input.data;
+  ExecStats* stats = db_->stats();
+  obs::ProfileOpScope op_scope("filter");
+  const size_t sel_before = sel->size();
+  // Index-served equality: the first `col = <INT literal>` conjunct on
+  // an indexed column of the base table picks the candidate rows. An
+  // index posting list is ascending, the scan's row order, and holds
+  // no NULL row, which the scan's `=` would reject too.
+  std::vector<uint32_t> candidates;
+  bool indexed = false;
+  for (size_t i = 0; input.base != nullptr && i < conjuncts.size(); ++i) {
+    const Expr* column = nullptr;
+    int64_t key = 0;
+    if (!IntEquality(*conjuncts[i], &column, &key)) continue;
+    Result<int> col = input.schema.Resolve(column->column);
+    if (!col.ok() || data.column(col.value()).type() != DataType::kInt64) continue;
+    const std::string name = BaseName(input.schema.column(col.value()).name);
+    if (!input.base->HasIndex(name)) continue;
+    ORPHEUS_RETURN_NOT_OK(input.base->EnsureIndex(name));
+    const IntPostings* index = input.base->BuiltIndex(name);
+    if (index == nullptr) return Status::Internal("index lookup failed in filter");
+    const IntPostings::Rows hits = index->Find(key);
+    candidates.assign(hits.begin(), hits.end());
+    conjuncts.erase(conjuncts.begin() + static_cast<std::ptrdiff_t>(i));
+    indexed = true;
+    break;
+  }
+  if (!indexed) {
+    op_scope.AddRowsIn(data.num_rows());
+    op_scope.AddBatches(NumScanBatches(data.num_rows()));
+    ORPHEUS_RETURN_NOT_OK(FilterSelection(eval, conjuncts, data, nullptr, sel));
+    stats->rows_scanned += static_cast<int64_t>(data.num_rows());
+    stats->pages_read +=
+        input.base != nullptr ? input.base->num_pages() : ChunkPages(data);
+    op_scope.AddRowsOut(sel->size() - sel_before);
+    return Status::OK();
+  }
+  op_scope.SetDetail("index");
+  op_scope.AddRowsIn(candidates.size());
+  op_scope.AddBatches(NumScanBatches(candidates.size()));
+  stats->index_probes += 1;
+  stats->rows_scanned += static_cast<int64_t>(candidates.size());
+  const int64_t rows_per_page = input.base->rows_per_page();
+  int64_t pages = 0;
+  int64_t last_page = -1;
+  for (uint32_t row : candidates) {
+    const int64_t page = static_cast<int64_t>(row) / rows_per_page;
+    if (page != last_page) ++pages;
+    last_page = page;
+  }
+  stats->pages_read += pages;
+  if (conjuncts.empty()) {
+    sel->insert(sel->end(), candidates.begin(), candidates.end());
+  } else {
+    ORPHEUS_RETURN_NOT_OK(FilterSelection(eval, conjuncts, data, &candidates, sel));
   }
   op_scope.AddRowsOut(sel->size() - sel_before);
   return Status::OK();
@@ -287,7 +445,8 @@ Status Executor::EvalScalarBatched(const Evaluator& eval, const Expr& expr,
 }
 
 Status Executor::PushDownFilters(std::vector<Input>* inputs,
-                                 std::vector<const Expr*>* conjuncts) {
+                                 std::vector<const Expr*>* conjuncts,
+                                 const ReadSet& reads) {
   std::vector<const Expr*> remaining;
   std::vector<std::vector<const Expr*>> per_input(inputs->size());
   for (const Expr* conjunct : *conjuncts) {
@@ -309,20 +468,29 @@ Status Executor::PushDownFilters(std::vector<Input>* inputs,
     if (per_input[i].empty()) continue;
     Input& input = (*inputs)[i];
     Evaluator eval(this);
-    std::vector<ExprPtr> bound;  // clone-free: bind the shared nodes
     for (const Expr* conjunct : per_input[i]) {
       ORPHEUS_RETURN_NOT_OK(eval.Bind(const_cast<Expr*>(conjunct), input.schema));
     }
-    const Chunk& src = *input.data;
     std::vector<uint32_t> sel;
-    ORPHEUS_RETURN_NOT_OK(FilterSelection(eval, per_input[i], src, &sel));
-    db_->stats()->rows_scanned += static_cast<int64_t>(src.num_rows());
-    db_->stats()->pages_read +=
-        input.base != nullptr ? input.base->num_pages() : ChunkPages(src);
-    auto filtered = std::make_unique<Chunk>(src.schema());
-    filtered->GatherFrom(src, sel);
+    ORPHEUS_RETURN_NOT_OK(SelectRows(eval, per_input[i], input, &sel));
+    // The filtered copy keeps only what the joins and the statement
+    // still read.
+    const Chunk& src = *input.data;
+    const std::vector<int> kept = KeptColumns(reads, remaining, input.schema);
+    Schema data_schema;
+    Schema schema;
+    for (int c : kept) {
+      data_schema.AddColumn(src.schema().column(c).name, src.schema().column(c).type);
+      schema.AddColumn(input.schema.column(c).name, input.schema.column(c).type);
+    }
+    auto filtered = std::make_unique<Chunk>(std::move(data_schema));
+    ExecParallelFor(static_cast<int>(kept.size()), [&](int k) {
+      filtered->mutable_column(k).Gather(src.column(kept[static_cast<size_t>(k)]), sel);
+    });
+    db_->stats()->cells_materialized += static_cast<int64_t>(sel.size() * kept.size());
     input.owned = std::move(filtered);
     input.data = input.owned.get();
+    input.schema = std::move(schema);
     input.base = nullptr;  // a filtered input is no longer the raw table
   }
   *conjuncts = std::move(remaining);
@@ -330,7 +498,8 @@ Status Executor::PushDownFilters(std::vector<Input>* inputs,
 }
 
 Result<Executor::Input> Executor::JoinInputs(std::vector<Input> inputs,
-                                             std::vector<const Expr*>* conjuncts) {
+                                             std::vector<const Expr*>* conjuncts,
+                                             const ReadSet& reads) {
   Input acc = std::move(inputs[0]);
   for (size_t i = 1; i < inputs.size(); ++i) {
     Input right = std::move(inputs[i]);
@@ -359,14 +528,16 @@ Result<Executor::Input> Executor::JoinInputs(std::vector<Input> inputs,
       if (!used) remaining.push_back(conjunct);
     }
     *conjuncts = std::move(remaining);
-    ORPHEUS_ASSIGN_OR_RETURN(acc, JoinPair(std::move(acc), std::move(right), keys));
+    ORPHEUS_ASSIGN_OR_RETURN(
+        acc, JoinPair(std::move(acc), std::move(right), keys, reads, *conjuncts));
   }
   return acc;
 }
 
 Result<Executor::Input> Executor::JoinPair(
     Input left, Input right,
-    const std::vector<std::pair<const Expr*, const Expr*>>& keys) {
+    const std::vector<std::pair<const Expr*, const Expr*>>& keys,
+    const ReadSet& reads, const std::vector<const Expr*>& residual) {
   obs::ProfileOpScope op_scope("join");
   ExecStats* stats = db_->stats();
   // With one thread the per-batch buffers and their batch-order merges
@@ -732,10 +903,10 @@ Result<Executor::Input> Executor::JoinPair(
 
   op_scope.AddRowsOut(lidx.size());
 
-  // Materialize the combined chunk: left columns then right columns.
-  // Output columns are disjoint objects, so their gathers fan out
-  // across the pool (one task per column; a gather's content depends
-  // only on its source column and the match vectors).
+  // Materialize the combined chunk: the read left columns, then the
+  // read right columns. Output columns are disjoint objects, so their
+  // gathers fan out across the pool (one task per column; a gather's
+  // content depends only on its source column and the match vectors).
   Schema combined;
   for (const ColumnDef& def : left.schema.columns()) {
     combined.AddColumn(def.name, def.type);
@@ -743,15 +914,26 @@ Result<Executor::Input> Executor::JoinPair(
   for (const ColumnDef& def : right.schema.columns()) {
     combined.AddColumn(def.name, def.type);
   }
-  auto out = std::make_unique<Chunk>(combined);
+  const std::vector<int> kept = KeptColumns(reads, residual, combined);
+  Schema out_schema;
+  for (int c : kept) {
+    out_schema.AddColumn(combined.column(c).name, combined.column(c).type);
+  }
+  auto out = std::make_unique<Chunk>(std::move(out_schema));
   const int num_left_cols = lc.num_columns();
-  ExecParallelFor(num_left_cols + rc.num_columns(), [&](int c) {
+  ExecParallelFor(static_cast<int>(kept.size()), [&](int k) {
+    const int c = kept[static_cast<size_t>(k)];
     if (c < num_left_cols) {
-      out->mutable_column(c).Gather(lc.column(c), lidx);
+      out->mutable_column(k).Gather(lc.column(c), lidx);
     } else {
-      out->mutable_column(c).Gather(rc.column(c - num_left_cols), ridx);
+      out->mutable_column(k).Gather(rc.column(c - num_left_cols), ridx);
     }
   });
+  stats->cells_materialized += static_cast<int64_t>(lidx.size() * kept.size());
+  // Free the inputs inside this operator's scope: an earlier join's
+  // output dies here, and its release is this join's work.
+  left.owned.reset();
+  right.owned.reset();
   Input result;
   result.schema = out->schema();
   result.owned = std::move(out);
@@ -759,7 +941,9 @@ Result<Executor::Input> Executor::JoinPair(
   return result;
 }
 
-Result<Chunk> Executor::RunSelect(const SelectStmt& select) {
+Result<Chunk> Executor::RunSelect(const SelectStmt& select,
+                                  const std::unordered_set<std::string>* reads) {
+  const ReadSet stmt_reads = StatementReads(select, reads);
   // FROM-less SELECT evaluates items once against a dummy row.
   if (select.from.empty()) {
     Schema dummy_schema;
@@ -770,32 +954,59 @@ Result<Chunk> Executor::RunSelect(const SelectStmt& select) {
     input.data = &dummy;
     input.schema = dummy_schema;
     std::vector<uint32_t> sel = {0};
-    return Project(select, input, sel);
-  }
-
-  std::vector<Input> inputs;
-  inputs.reserve(select.from.size());
-  for (const TableRef& ref : select.from) {
-    // Subquery inputs recurse into RunSelect on this thread, so their
-    // operator scopes nest under this scan node in the profile tree.
-    obs::ProfileOpScope op_scope(
-        "scan", ref.subquery != nullptr && !ref.alias.empty() ? ref.alias
-                                                              : ref.name);
-    ORPHEUS_ASSIGN_OR_RETURN(Input input, ResolveTableRef(ref));
-    op_scope.AddRowsOut(input.data->num_rows());
-    inputs.push_back(std::move(input));
+    return Project(select, &input, sel, stmt_reads.star_reads);
   }
 
   std::vector<const Expr*> conjuncts;
   SplitConjuncts(select.where.get(), &conjuncts);
 
+  std::vector<Input> inputs;
+  inputs.reserve(select.from.size());
+  for (const TableRef& ref : select.from) {
+    // A derived table is asked only for the base names this statement
+    // may read through its alias: the refs qualified by it or not
+    // qualified at all, and the star items' columns.
+    std::unordered_set<std::string> sub_reads;
+    bool reads_all = false;
+    if (ref.subquery != nullptr) {
+      for (const std::string& qualifier : stmt_reads.stars) {
+        if (!qualifier.empty() && qualifier != ref.alias) continue;
+        if (stmt_reads.star_reads == nullptr) {
+          reads_all = true;
+        } else {
+          sub_reads.insert(stmt_reads.star_reads->begin(),
+                           stmt_reads.star_reads->end());
+        }
+      }
+      std::vector<const Expr*> refs = stmt_reads.refs;
+      for (const Expr* conjunct : conjuncts) CollectColumnRefs(*conjunct, &refs);
+      for (const Expr* col : refs) {
+        const size_t dot = col->column.rfind('.');
+        if (dot == std::string::npos) {
+          sub_reads.insert(col->column);
+        } else if (col->column.compare(0, dot, ref.alias) == 0) {
+          sub_reads.insert(col->column.substr(dot + 1));
+        }
+      }
+    }
+    // Subquery inputs recurse into RunSelect on this thread, so their
+    // operator scopes nest under this scan node in the profile tree.
+    obs::ProfileOpScope op_scope(
+        "scan", ref.subquery != nullptr && !ref.alias.empty() ? ref.alias
+                                                              : ref.name);
+    ORPHEUS_ASSIGN_OR_RETURN(Input input,
+                             ResolveTableRef(ref, reads_all ? nullptr : &sub_reads));
+    op_scope.AddRowsOut(input.data->num_rows());
+    inputs.push_back(std::move(input));
+  }
+
   Input joined;
   if (inputs.size() == 1) {
     joined = std::move(inputs[0]);
   } else {
-    ORPHEUS_RETURN_NOT_OK(PushDownFilters(&inputs, &conjuncts));
+    ORPHEUS_RETURN_NOT_OK(PushDownFilters(&inputs, &conjuncts, stmt_reads));
     ORPHEUS_ASSIGN_OR_RETURN(joined,
-                             JoinInputs(std::move(inputs), &conjuncts));
+                             JoinInputs(std::move(inputs), &conjuncts, stmt_reads));
   }
 
   // Residual filter -> selection vector.
@@ -814,11 +1025,7 @@ Result<Chunk> Executor::RunSelect(const SelectStmt& select) {
     for (const Expr* conjunct : conjuncts) {
       ORPHEUS_RETURN_NOT_OK(eval.Bind(const_cast<Expr*>(conjunct), joined.schema));
     }
-    ORPHEUS_RETURN_NOT_OK(FilterSelection(eval, conjuncts, data, &sel));
-    db_->stats()->rows_scanned += static_cast<int64_t>(data.num_rows());
-    db_->stats()->pages_read += joined.base != nullptr
-                                    ? joined.base->num_pages()
-                                    : ChunkPages(data);
+    ORPHEUS_RETURN_NOT_OK(SelectRows(eval, conjuncts, joined, &sel));
   }
 
   bool aggregating = !select.group_by.empty();
@@ -886,7 +1093,7 @@ Result<Chunk> Executor::RunSelect(const SelectStmt& select) {
         ordered_on_input = true;
       }
     }
-    ORPHEUS_ASSIGN_OR_RETURN(out, Project(select, joined, sel));
+    ORPHEUS_ASSIGN_OR_RETURN(out, Project(select, &joined, sel, stmt_reads.star_reads));
   }
 
   if (select.distinct) {
@@ -903,12 +1110,13 @@ Result<Chunk> Executor::RunSelect(const SelectStmt& select) {
   return out;
 }
 
-Result<Chunk> Executor::Project(const SelectStmt& select, const Input& input,
-                                const std::vector<uint32_t>& sel) {
+Result<Chunk> Executor::Project(const SelectStmt& select, Input* input,
+                                const std::vector<uint32_t>& sel,
+                                const std::unordered_set<std::string>* star_reads) {
   obs::ProfileOpScope op_scope("project");
   op_scope.AddRowsIn(sel.size());
-  const Chunk& data = *input.data;
-  const Schema& schema = input.schema;
+  const Chunk& data = *input->data;
+  const Schema& schema = input->schema;
 
   // Expand the select list into concrete output columns.
   struct OutCol {
@@ -920,14 +1128,14 @@ Result<Chunk> Executor::Project(const SelectStmt& select, const Input& input,
   std::vector<OutCol> out_cols;
   Evaluator eval(this);
   int unnest_count = 0;
+  int star_first = -1;  // the first column a star covers
   for (const SelectItem& item : select.items) {
     if (item.expr->kind == ExprKind::kStar) {
-      const std::string& qualifier = item.expr->column;
       for (int c = 0; c < schema.num_columns(); ++c) {
         const std::string& name = schema.column(c).name;
-        if (!qualifier.empty()) {
-          if (name.rfind(qualifier + ".", 0) != 0) continue;
-        }
+        if (!StarCovers(item.expr->column, name)) continue;
+        if (star_first < 0) star_first = c;
+        if (star_reads != nullptr && star_reads->count(BaseName(name)) == 0) continue;
         OutCol out;
         out.source_col = c;
         out.name = name;
@@ -956,6 +1164,14 @@ Result<Chunk> Executor::Project(const SelectStmt& select, const Input& input,
                                                               : item.expr->ToString());
     out_cols.push_back(std::move(out));
   }
+  if (out_cols.empty() && star_first >= 0) {
+    // The caller reads none of the star's columns, but the rows still
+    // need a column to be counted by.
+    OutCol out;
+    out.source_col = star_first;
+    out.name = schema.column(star_first).name;
+    out_cols.push_back(std::move(out));
+  }
   if (unnest_count > 1) {
     return Status::NotSupported("at most one unnest() per select list");
   }
@@ -979,20 +1195,59 @@ Result<Chunk> Executor::Project(const SelectStmt& select, const Input& input,
       out_schema.AddColumn(oc.name, type);
     }
     Chunk out(out_schema);
+    // Computed columns first, since a direct column may be moved out
+    // of the input below.
     std::vector<Value> computed;
+    std::vector<int> direct;
     for (size_t c = 0; c < out_cols.size(); ++c) {
       const OutCol& oc = out_cols[c];
-      Column& dst = out.mutable_column(static_cast<int>(c));
       if (oc.source_col >= 0) {
-        dst.Gather(data.column(oc.source_col), sel);
-      } else {
-        // Evaluate into a slot-per-row buffer on the pool, then append
-        // in row order on this thread.
-        ORPHEUS_RETURN_NOT_OK(
-            EvalScalarBatched(eval, *oc.expr, data, sel, &computed));
-        for (const Value& v : computed) dst.Append(v);
+        direct.push_back(static_cast<int>(c));
+        continue;
+      }
+      // Evaluate into a slot-per-row buffer on the pool, then append
+      // in row order on this thread.
+      ORPHEUS_RETURN_NOT_OK(EvalScalarBatched(eval, *oc.expr, data, sel, &computed));
+      Column& dst = out.mutable_column(static_cast<int>(c));
+      for (const Value& v : computed) dst.Append(v);
+    }
+    // An identity selection over a chunk this statement owns hands a
+    // direct column over whole instead of copying it, unless another
+    // item reads that column too.
+    std::vector<int> item_reads(static_cast<size_t>(data.num_columns()), 0);
+    const bool movable = input->owned != nullptr && IsIdentity(sel, data.num_rows());
+    if (movable) {
+      for (const OutCol& oc : out_cols) {
+        if (oc.source_col >= 0) {
+          ++item_reads[static_cast<size_t>(oc.source_col)];
+          continue;
+        }
+        std::vector<const Expr*> refs;
+        CollectColumnRefs(*oc.expr, &refs);
+        for (const Expr* ref : refs) {
+          if (ref->bound_col >= 0) ++item_reads[static_cast<size_t>(ref->bound_col)];
+        }
       }
     }
+    auto moves = [&](int c) {
+      const int src = out_cols[static_cast<size_t>(c)].source_col;
+      return movable && item_reads[static_cast<size_t>(src)] == 1;
+    };
+    size_t copied = 0;
+    for (int c : direct) copied += moves(c) ? 0 : 1;
+    ExecParallelFor(static_cast<int>(direct.size()), [&](int k) {
+      const int c = direct[static_cast<size_t>(k)];
+      const int src = out_cols[static_cast<size_t>(c)].source_col;
+      Column& dst = out.mutable_column(c);
+      if (moves(c)) {
+        Column& from = input->owned->mutable_column(src);
+        dst = std::move(from);
+        from = Column(dst.type());
+      } else {
+        dst.Gather(data.column(src), sel);
+      }
+    });
+    db_->stats()->cells_materialized += static_cast<int64_t>(sel.size() * copied);
     op_scope.AddRowsOut(out.num_rows());
     return out;
   }
@@ -1010,6 +1265,7 @@ Result<Chunk> Executor::Project(const SelectStmt& select, const Input& input,
     }
   }
   Chunk out(out_schema);
+  size_t copied = 0;
   for (uint32_t row : sel) {
     // Evaluate the unnest argument once per input row.
     IntArray elements;
@@ -1030,6 +1286,7 @@ Result<Chunk> Executor::Project(const SelectStmt& select, const Input& input,
           dst.AppendInt(element);
         } else if (oc.source_col >= 0) {
           dst.AppendFrom(data.column(oc.source_col), row);
+          ++copied;
         } else {
           ORPHEUS_ASSIGN_OR_RETURN(Value v, eval.Eval(*oc.expr, data, row));
           dst.Append(v);
@@ -1037,6 +1294,7 @@ Result<Chunk> Executor::Project(const SelectStmt& select, const Input& input,
       }
     }
   }
+  db_->stats()->cells_materialized += static_cast<int64_t>(copied);
   op_scope.AddRowsOut(out.num_rows());
   return out;
 }

@@ -5,6 +5,11 @@
 //   (hash / merge / index-nested-loop, selectable) -> residual filter
 //   -> aggregation or projection (incl. unnest expansion) -> DISTINCT
 //   -> ORDER BY -> LIMIT.
+// Each operator copies only the columns the statement reads (derived
+// tables are asked for what their caller reads), an identity
+// projection over an owned chunk moves its columns, and an equality
+// on an indexed INT column of a base table reads the index's rows
+// instead of scanning.
 //
 // Parallel batched execution. Filter evaluation, computed projections,
 // aggregation, the hash-join probe (and the multi-key hash-join
@@ -55,6 +60,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -119,14 +125,20 @@ struct ExecStats {
   // point lookups into table indexes
   ExecStatCell index_probes{
       "orpheus_exec_index_probes_total",
-      "Primary-index probes issued by index-nested-loop joins."};
+      "Index probes issued by index-nested-loop joins and equality filters."};
   // modeled 8 KiB page touches
   ExecStatCell pages_read{"orpheus_exec_pages_read_total",
                           "Logical pages touched by scans."};
+  // rows x columns copied by join-output, pushed-down-filter and
+  // projection gathers (a column a projection moves is not copied)
+  ExecStatCell cells_materialized{
+      "orpheus_exec_cells_materialized_total",
+      "Cells (rows x columns) copied by join, filter and projection gathers."};
   void Reset() {
     rows_scanned.Reset();
     index_probes.Reset();
     pages_read.Reset();
+    cells_materialized.Reset();
   }
 };
 
@@ -135,7 +147,13 @@ class Executor {
   explicit Executor(Database* db) : db_(db) {}
 
   // Executes a SELECT (without INTO handling; Database applies INTO).
-  Result<Chunk> RunSelect(const SelectStmt& select);
+  // `reads`, if given, holds the base names (qualifier stripped) of the
+  // output columns the caller reads; a `*` or `alias.*` item then
+  // expands to those columns only, or to one column if it covers none
+  // of them, since a chunk's row count lives in its columns. Null
+  // means the caller reads every column.
+  Result<Chunk> RunSelect(const SelectStmt& select,
+                          const std::unordered_set<std::string>* reads = nullptr);
 
  private:
   // A FROM-clause input: either a view onto a base table's chunk (no
@@ -148,15 +166,50 @@ class Executor {
     std::string alias;
   };
 
-  Result<Input> ResolveTableRef(const TableRef& ref);
+  // What a statement reads from its FROM inputs besides the WHERE
+  // conjuncts it has yet to evaluate: the column refs of its select
+  // items, GROUP BY, HAVING and ORDER BY, and its star items, which
+  // read the caller's columns (`star_reads`; null = every column, as
+  // under DISTINCT, where dropping a column could merge rows).
+  struct ReadSet {
+    std::vector<const Expr*> refs;
+    std::vector<std::string> stars;  // qualifiers; "" = every input
+    const std::unordered_set<std::string>* star_reads = nullptr;
+  };
+
+  // The ReadSet of `select`, whose caller reads `reads` (see RunSelect).
+  static ReadSet StatementReads(const SelectStmt& select,
+                                const std::unordered_set<std::string>* reads);
+
+  // The positions of the columns of `schema` that `reads` or
+  // `conjuncts` need, ascending. At least one, and one a star covers
+  // when the statement has a star item, so that rows stay countable
+  // and the star expands to something.
+  static std::vector<int> KeptColumns(const ReadSet& reads,
+                                      const std::vector<const Expr*>& conjuncts,
+                                      const Schema& schema);
+
+  // `reads` is what the statement reads of this input (see RunSelect).
+  Result<Input> ResolveTableRef(const TableRef& ref,
+                                const std::unordered_set<std::string>* reads);
 
   // Evaluates the conjunction of `conjuncts` (already bound against
-  // data's schema via `eval`) over every row of `data`, appending the
-  // passing row ids to *sel in row order. Batches are fanned out over
-  // the execution pool; on error, the lowest-batch error wins.
+  // data's schema via `eval`) over `rows` of `data` (every row if
+  // null), appending the passing row ids to *sel in row order. Batches
+  // are fanned out over the execution pool; on error, the lowest-batch
+  // error wins.
   Status FilterSelection(const Evaluator& eval,
                          const std::vector<const Expr*>& conjuncts,
-                         const Chunk& data, std::vector<uint32_t>* sel);
+                         const Chunk& data, const std::vector<uint32_t>* rows,
+                         std::vector<uint32_t>* sel);
+
+  // Selects the rows of `input` that pass every conjunct (bound via
+  // `eval`) into *sel, ascending, and charges the rows and pages it
+  // examined. On an unfiltered base table, a `col = <INT literal>`
+  // conjunct on a column with a declared index takes its candidate
+  // rows from the index; the other conjuncts run on those rows only.
+  Status SelectRows(const Evaluator& eval, std::vector<const Expr*> conjuncts,
+                    const Input& input, std::vector<uint32_t>* sel);
 
   // Evaluates a bound scalar expression for every selected row into
   // (*out)[i] (pre-sized by this call), batched over the pool.
@@ -166,14 +219,19 @@ class Executor {
                            std::vector<Value>* out);
 
   // Applies the single-input conjuncts of `where` to each input
-  // (predicate pushdown); materializes filtered inputs.
+  // (predicate pushdown); materializes filtered inputs, keeping only
+  // the columns `reads` and the remaining conjuncts need.
   Status PushDownFilters(std::vector<Input>* inputs,
-                         std::vector<const Expr*>* conjuncts);
+                         std::vector<const Expr*>* conjuncts,
+                         const ReadSet& reads);
 
   // Joins inputs left-to-right into one chunk; consumes `conjuncts`
-  // that serve as equi-join keys, leaving residual predicates.
+  // that serve as equi-join keys, leaving residual predicates. Each
+  // join's output keeps only the columns `reads` and the conjuncts
+  // still to evaluate need.
   Result<Input> JoinInputs(std::vector<Input> inputs,
-                           std::vector<const Expr*>* conjuncts);
+                           std::vector<const Expr*>* conjuncts,
+                           const ReadSet& reads);
 
   // Joins two inputs on the given equi-key pairs with the configured
   // JoinMethod (falling back to hash when the method's preconditions
@@ -181,9 +239,12 @@ class Executor {
   // multi-key build and the output materialization run batch-parallel
   // on the pool; the single-INT-key build is one serial IntPostings
   // pass. Per-batch match lists are concatenated in batch order so the
-  // output row order matches the serial algorithms exactly.
+  // output row order matches the serial algorithms exactly. The output
+  // holds the columns `reads` and `residual` need (at least one).
   Result<Input> JoinPair(Input left, Input right,
-                         const std::vector<std::pair<const Expr*, const Expr*>>& keys);
+                         const std::vector<std::pair<const Expr*, const Expr*>>& keys,
+                         const ReadSet& reads,
+                         const std::vector<const Expr*>& residual);
 
   // Grouped/global aggregation over the selected rows. Internally
   // computes per-batch partial aggregate states and merges them in
@@ -191,8 +252,12 @@ class Executor {
   // order; deterministic float rounding for any thread count).
   Result<Chunk> Aggregate(const SelectStmt& select, const Input& input,
                           const std::vector<uint32_t>& sel);
-  Result<Chunk> Project(const SelectStmt& select, const Input& input,
-                        const std::vector<uint32_t>& sel);
+  // Star items expand to the columns `star_reads` names (see ReadSet).
+  // When `sel` is the identity over an owned input, a direct column no
+  // other item reads is moved out of the input instead of copied.
+  Result<Chunk> Project(const SelectStmt& select, Input* input,
+                        const std::vector<uint32_t>& sel,
+                        const std::unordered_set<std::string>* star_reads);
 
   Status ApplyHaving(const SelectStmt& select, Chunk* out);
   Status ApplyDistinct(Chunk* out);

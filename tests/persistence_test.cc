@@ -652,6 +652,59 @@ INSTANTIATE_TEST_SUITE_P(AllModels, ResolvedCommitAllModels,
                                            DataModelKind::kSplitByRlist,
                                            DataModelKind::kDeltaBased));
 
+// A commit that adds a column and then fails its primary-key check must
+// not have ALTERed anything: it logs nothing, so live state and the
+// state recovered from the WAL must agree, and a later valid commit
+// adds the column for real.
+TEST(Persistence, PrimaryKeyFailureLeavesSchemaUnchanged) {
+  TempDir dir;
+  std::string live_state;
+  EngineRef ref;
+  std::vector<std::string> live_attrs;
+  auto attr_names = [](OrpheusDB* db) {
+    std::vector<std::string> names;
+    for (const core::AttributeEntry& attr : db->GetCvd("t").ValueOrDie()->attributes()) {
+      names.push_back(attr.name + ":" + rel::DataTypeName(attr.type));
+    }
+    return names;
+  };
+  {
+    OrpheusDB db;
+    ASSERT_TRUE(db.Open(dir.path()).ok());
+    CvdOptions options;
+    options.primary_key = {"k"};
+    ASSERT_TRUE(db.InitCvd("t", SampleRows(6), options, "init").ok());
+    ASSERT_TRUE(db.Checkout("t", {1}, "w").ok());
+    rel::Table* staged = db.db()->GetTable("w").ValueOrDie();
+    ASSERT_TRUE(staged->AddColumn("flag", rel::DataType::kInt64).ok());
+    ASSERT_TRUE(db.db()->Execute("UPDATE w SET score = 2.5 WHERE k = 0").ok());
+    ASSERT_TRUE(db.db()->Execute("UPDATE w SET k = 0 WHERE k = 1").ok());
+    EXPECT_EQ(StatusCode::kConstraintViolation, db.Commit("t", "w", "dup").status().code());
+    live_attrs = attr_names(&db);
+    EXPECT_EQ(3u, live_attrs.size());
+    live_state = PersistedState(db);
+
+    TempDir copy;
+    CloneDbDir(dir.path(), copy.Sub("db"));
+    OrpheusDB recovered;
+    ASSERT_TRUE(recovered.Open(copy.Sub("db")).ok());
+    EXPECT_EQ(live_attrs, attr_names(&recovered));
+
+    // The same column, now with unique keys.
+    ASSERT_TRUE(db.db()->Execute("DELETE FROM w WHERE name = 'item_1'").ok());
+    ASSERT_EQ(2, db.Commit("t", "w", "add flag").ValueOrDie());
+    EXPECT_EQ(4u, attr_names(&db).size());
+    live_attrs = attr_names(&db);
+    live_state = PersistedState(db);
+    ref = Capture(&db);
+  }
+  OrpheusDB recovered;
+  ASSERT_TRUE(recovered.Open(dir.path()).ok());
+  EXPECT_EQ(live_attrs, attr_names(&recovered));
+  EXPECT_EQ(live_state, PersistedState(recovered));
+  ExpectEngineEquals(ref, &recovered, "commit after a rejected one");
+}
+
 // Commit builds the version's rows in the staged table it commits and
 // init in a scratch table `<cvd>_init_stage`, so a checkout named like
 // those must neither be replaced nor dropped by another commit or init.

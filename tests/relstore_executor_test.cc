@@ -13,6 +13,12 @@
 namespace orpheus::rel {
 namespace {
 
+Chunk MustQuery(Database& db, const std::string& sql) {
+  auto r = db.Execute(sql);
+  EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  return r.ok() ? std::move(r).value() : Chunk();
+}
+
 class ExecutorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -282,6 +288,146 @@ TEST_F(JoinTest, StatsAccumulateAndReset) {
   EXPECT_GE(db_.stats()->rows_scanned, 100);
   db_.ResetStats();
   EXPECT_EQ(db_.stats()->rows_scanned, 0);
+}
+
+// --- Column pruning ---------------------------------------------------
+//
+// A derived table materializes only the columns its caller reads, and a
+// projection over an identity selection of a chunk the statement owns
+// moves its columns instead of copying them.
+
+// The split-by-rlist version subquery over d and v, as the query
+// translator emits it.
+std::string VersionSubquery(int vid) {
+  return "(SELECT d.* FROM d, (SELECT unnest(rlist) AS r FROM v WHERE vid = " +
+         std::to_string(vid) + ") AS x WHERE d.rid = x.r)";
+}
+
+TEST_F(JoinTest, DerivedTableCopiesOnlyReadColumns) {
+  db_.ResetStats();
+  Chunk out = MustQuery(db_, "SELECT count(*), max(q.payload) FROM " +
+                                 VersionSubquery(1) + " AS q");
+  EXPECT_EQ(out.Get(0, 0).AsInt(), 3);
+  EXPECT_EQ(out.Get(0, 1).AsString(), "p5");
+  // The join output holds d.payload alone, and the projection moves it.
+  EXPECT_EQ(db_.stats()->cells_materialized, 3);
+
+  db_.ResetStats();
+  out = MustQuery(db_, "SELECT count(*) FROM " + VersionSubquery(1) + " AS q");
+  EXPECT_EQ(out.Get(0, 0).AsInt(), 3);
+  // No column is read, but one survives to carry the row count.
+  EXPECT_EQ(db_.stats()->cells_materialized, 3);
+
+  // A top-level star reads every column: the join output is copied
+  // once (both of d's columns), then moved.
+  db_.ResetStats();
+  out = MustQuery(db_, "SELECT d.* FROM d, (SELECT unnest(rlist) AS r FROM v "
+                       "WHERE vid = 1) AS x WHERE d.rid = x.r");
+  ASSERT_EQ(out.num_columns(), 2);
+  EXPECT_EQ(out.Get(2, 1).AsString(), "p15");
+  EXPECT_EQ(db_.stats()->cells_materialized, 6);
+}
+
+TEST_F(JoinTest, StarOutsideTheReadColumnsStillCountsRows) {
+  // ORDER BY keeps d.payload, which the x.* star does not cover; the
+  // star must still yield a column, or the derived table has no rows.
+  Chunk out = MustQuery(
+      db_, "SELECT count(*) FROM (SELECT x.* FROM d, (SELECT unnest(rlist) AS r "
+           "FROM v WHERE vid = 1) AS x WHERE d.rid = x.r ORDER BY d.payload) AS q");
+  EXPECT_EQ(out.Get(0, 0).AsInt(), 3);
+  out = MustQuery(db_, "SELECT count(*) FROM (SELECT * FROM " + VersionSubquery(2) +
+                           " AS i WHERE i.payload <> 'p0') AS q");
+  EXPECT_EQ(out.Get(0, 0).AsInt(), 1);
+}
+
+TEST_F(JoinTest, StarUnderDistinctKeepsEveryColumn) {
+  ASSERT_TRUE(db_.Execute("CREATE TABLE dup (a INT, b INT)").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO dup VALUES (1, 1), (1, 2), (2, 2)").ok());
+  // Pruning the star to `a` would merge (1, 1) and (1, 2).
+  EXPECT_EQ(MustQuery(db_, "SELECT count(*) FROM (SELECT DISTINCT * FROM dup) AS q")
+                .Get(0, 0).AsInt(), 3);
+  EXPECT_EQ(MustQuery(db_, "SELECT count(*) FROM (SELECT DISTINCT s.* FROM "
+                           "(SELECT a, b FROM dup) AS s) AS q")
+                .Get(0, 0).AsInt(), 3);
+  EXPECT_EQ(MustQuery(db_, "SELECT q.a FROM (SELECT DISTINCT * FROM dup) AS q "
+                           "ORDER BY q.a").num_rows(), 3u);
+  EXPECT_EQ(MustQuery(db_, "SELECT count(*) FROM (SELECT DISTINCT a FROM dup) AS q")
+                .Get(0, 0).AsInt(), 2);
+}
+
+TEST_F(JoinTest, ProjectionMovesOnlyColumnsNoOtherItemReads) {
+  Chunk out = MustQuery(db_, "SELECT q.payload, q.payload, q.rid * 2, q.rid FROM " +
+                                 VersionSubquery(1) + " AS q");
+  ASSERT_EQ(out.num_rows(), 3u);
+  ASSERT_EQ(out.num_columns(), 4);
+  for (size_t r = 0; r < 3; ++r) {
+    const int64_t rid = 5 * static_cast<int64_t>(r + 1);
+    EXPECT_EQ(out.Get(r, 0).AsString(), "p" + std::to_string(rid));
+    EXPECT_EQ(out.Get(r, 1).AsString(), "p" + std::to_string(rid));
+    EXPECT_EQ(out.Get(r, 2).AsInt(), 2 * rid);
+    EXPECT_EQ(out.Get(r, 3).AsInt(), rid);
+  }
+  // A moved column leaves the input, so the moved-from chunk must not
+  // be read again: ORDER BY on an output column runs after projection.
+  out = MustQuery(db_, "SELECT q.rid AS id FROM " + VersionSubquery(1) +
+                           " AS q ORDER BY id DESC");
+  ASSERT_EQ(out.num_rows(), 3u);
+  EXPECT_EQ(out.Get(0, 0).AsInt(), 15);
+  EXPECT_EQ(out.Get(2, 0).AsInt(), 5);
+}
+
+// --- Index-served equality --------------------------------------------
+//
+// `col = <INT literal>` on an indexed column of a single base-table
+// input reads the index's candidate rows instead of scanning; answers
+// match a scan of the same rows without the index.
+
+TEST(IndexedEqualityTest, MatchesScanAndExaminesOnlyCandidates) {
+  Database db;
+  for (const char* name : {"ix", "nx"}) {
+    ASSERT_TRUE(db.Execute(std::string("CREATE TABLE ") + name + " (k INT, v INT)").ok());
+    Chunk& chunk = db.GetTable(name).value()->mutable_chunk();
+    for (int i = 0; i < 3000; ++i) {
+      // Every 7th row NULL, key 0 beside it (NULL's storage
+      // placeholder), key 4 repeated across batch boundaries.
+      if (i % 7 == 0) {
+        chunk.mutable_column(0).Append(Value::Null());
+      } else if (i % 7 == 1) {
+        chunk.mutable_column(0).AppendInt(0);
+      } else if (i % 5 == 0) {
+        chunk.mutable_column(0).AppendInt(4);
+      } else {
+        chunk.mutable_column(0).AppendInt(i);
+      }
+      chunk.mutable_column(1).AppendInt(i % 10);
+    }
+  }
+  ASSERT_TRUE(db.Execute("CREATE INDEX ON ix (k)").ok());
+  for (int threads : {1, 4}) {
+    SetExecThreads(threads);
+    for (const std::string where :
+         {"k = 4", "4 = k", "k = 0", "k = 17", "k = 2999", "k = -9", "k = 100000",
+          "k = 4 AND v > 3", "v > 3 AND k = 4", "k = NULL", "k = 4 AND k = 5"}) {
+      const std::string select = "SELECT k, v FROM ";
+      Chunk want = MustQuery(db, select + "nx WHERE " + where);
+      db.ResetStats();
+      Chunk got = MustQuery(db, select + "ix WHERE " + where);
+      ASSERT_EQ(want.num_rows(), got.num_rows()) << where;
+      for (size_t r = 0; r < want.num_rows(); ++r) {
+        EXPECT_TRUE(want.Get(r, 0).Equals(got.Get(r, 0))) << where << " row " << r;
+        EXPECT_TRUE(want.Get(r, 1).Equals(got.Get(r, 1))) << where << " row " << r;
+      }
+      if (where == "k = 4") {
+        EXPECT_EQ(db.stats()->index_probes, 1);
+        EXPECT_EQ(db.stats()->rows_scanned, static_cast<int64_t>(got.num_rows()));
+      }
+      if (where == "k = NULL") {
+        // Not an INT literal: the scan answers it.
+        EXPECT_EQ(db.stats()->rows_scanned, 3000);
+      }
+    }
+  }
+  SetExecThreads(0);
 }
 
 // --- Batch-boundary cases of the parallel scan pipeline ---------------

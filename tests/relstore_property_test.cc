@@ -339,6 +339,63 @@ TEST_P(RandomFilterTest, JoinAndOrderByBitIdenticalAcrossThreads) {
   }
 }
 
+// Derived tables materialize only the columns their caller reads, and
+// an identity projection moves columns instead of copying them; both
+// run on the pool, so the answers must stay bit-identical across
+// --threads. The shapes are the versioned-query translator's: a base
+// table joined to an unnested rlist, several batches long.
+TEST_P(RandomFilterTest, DerivedTablesBitIdenticalAcrossThreads) {
+  struct ExecThreadsRestorer {
+    ~ExecThreadsRestorer() { SetExecThreads(0); }
+  } restore_threads;
+
+  Rng rng(GetParam() + 6000);
+  Database db;
+  BuildRandomTable(&db, "t", 10000, 10, &rng, nullptr);
+  ASSERT_TRUE(db.Execute("CREATE TABLE vt (vid INT, rlist INT[], PRIMARY KEY (vid))").ok());
+  for (int vid = 1; vid <= 3; ++vid) {
+    std::string rlist;
+    for (int id = 0; id < 10000; ++id) {
+      if (rng.Uniform(4) == 0) continue;
+      rlist += (rlist.empty() ? "" : ", ") + std::to_string(id);
+    }
+    ASSERT_TRUE(db.Execute("INSERT INTO vt VALUES (" + std::to_string(vid) + ", ARRAY[" +
+                           rlist + "])")
+                    .ok());
+  }
+  auto version = [](int vid) {
+    return "(SELECT t.* FROM t, (SELECT unnest(rlist) AS r FROM vt WHERE vid = " +
+           std::to_string(vid) + ") AS x WHERE t.id = x.r)";
+  };
+  const std::string all_versions =
+      "(SELECT x.vid AS vid, t.* FROM t, (SELECT vid, unnest(rlist) AS r FROM vt) AS x "
+      "WHERE t.id = x.r)";
+  const std::vector<std::string> queries = {
+      "SELECT count(*), sum(q.val) FROM " + version(1) + " AS q WHERE q.bucket < 5",
+      "SELECT q.id, q.val FROM " + version(2) + " AS q WHERE q.val < 50.0 "
+      "ORDER BY q.val DESC",
+      "SELECT * FROM " + version(3) + " AS q",
+      "SELECT q.val, q.val, q.id + 1 FROM " + version(1) + " AS q",
+      "SELECT a.id, b.val FROM " + version(1) + " AS a, " + version(2) +
+          " AS b WHERE a.id = b.id AND a.bucket <> b.bucket",
+      "SELECT vid, count(*), sum(val) FROM " + all_versions + " AS q GROUP BY vid",
+      "SELECT count(*) FROM (SELECT DISTINCT q.* FROM (SELECT bucket, id % 3 AS m FROM " +
+          version(2) + " AS p) AS q) AS z",
+  };
+  for (const std::string& query : queries) {
+    SetExecThreads(1);
+    auto serial = db.Execute(query);
+    ASSERT_TRUE(serial.ok()) << query << " -> " << serial.status().ToString();
+    for (int threads : {2, 4}) {
+      SetExecThreads(threads);
+      auto parallel = db.Execute(query);
+      ASSERT_TRUE(parallel.ok()) << query;
+      ExpectChunksBitIdentical(serial.value(), parallel.value(),
+                               query + " threads " + std::to_string(threads));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomFilterTest,
                          ::testing::Values(1, 7, 42, 1234, 99999));
 
